@@ -1262,10 +1262,17 @@ def decontaminate(sf_dir: str, benchmark_texts, window: int = 8):
             for j in range(len(toks) - window + 1)
         ]
 
+    import ray
+
     bench = sorted({g for t in benchmark_texts for g in _grams_of(t)})
-    bench_arr = pa.array(bench, pa.string())
+    # one object-store copy, fetched once per worker — a closure capture
+    # would re-pickle the value set into every task
+    bench_ref = ray.put(pa.array(bench, pa.string()))
 
     def flag(t: pa.Table) -> pa.Table:
+        from ..stages.mention_prep import get_broadcast
+
+        bench_arr = get_broadcast(bench_ref)
         texts = t["text"].to_pylist()
         grams: list[str] = []
         lens = np.empty(len(texts), dtype=np.int64)

@@ -101,22 +101,12 @@ def run_er_pipeline(
     downstream checkpoint instead of silently reusing stale data
     (checkpoint.py contract).
     """
-    import hashlib
-
     try:
         input_id = tuple(sorted(pages_ds.input_files() or []))
     except Exception:
         input_id = ("<non-file-input>",)
-    idf_id = (
-        hashlib.blake2b(idf.tobytes(), digest_size=8).hexdigest()
-        if idf is not None
-        else None
-    )
-    model_id = (
-        hashlib.blake2b(model_json.encode(), digest_size=8).hexdigest()
-        if model_json
-        else None
-    )
+    idf_id = ckpt.content_digest(idf.tobytes()) if idf is not None else None
+    model_id = ckpt.content_digest(model_json.encode()) if model_json else None
     fp_mentions = ckpt.fingerprint(
         PIPELINE_VERSION, "mentions", input_id, use_tfidf, idf_sample_mod, idf_id
     )
@@ -133,13 +123,27 @@ def run_er_pipeline(
     }
 
     def _distinct(ds, col):
-        from ..rayutil import shuffle_partitions
+        # driver merge under sized_groupby_agg's budget, its hash
+        # exchange above it; the read-back's size is footer metadata
+        from ..rayutil import known_size, sized_groupby_agg
 
-        return (
-            ds.select_columns([col])
-            .groupby(col, num_partitions=shuffle_partitions())
-            .count()
-            .count()
+        return sized_groupby_agg(
+            ds.select_columns([col]), [col], [], n_bytes=known_size(ds)[1]
+        ).count()
+
+    def _total(ds, col, fn):
+        """sum over batches of ``fn(batch[col])``: one partial per batch,
+        added up on the driver (state bounded by the block count, no
+        aggregate exchange)."""
+        import pyarrow as pa
+
+        parts = ds.select_columns([col]).map_batches(
+            lambda b: pa.table({"n": pa.array([fn(b[col]) or 0], pa.int64())}),
+            batch_format="pyarrow",
+        )
+        return sum(
+            sum(b["n"].to_pylist())
+            for b in parts.iter_batches(batch_format="pyarrow", batch_size=None)
         )
 
     def _stage_counters(name):
@@ -148,7 +152,9 @@ def run_er_pipeline(
         (database/pubmed_inner_outer_feature.sql:106-108); here they ride
         in the manifest so a resumed run can re-assert them without
         recomputing the stage. Computed from the just-written files
-        (checkpoint-time only, never on the streaming path)."""
+        (checkpoint-time only, never on the streaming path): row counts
+        are footer metadata, sums are per-batch partials, distincts go
+        through the budget-guarded groupby."""
         import pyarrow as pa
         import pyarrow.compute as pc
 
@@ -160,25 +166,16 @@ def run_er_pipeline(
         if name == "features":
             return lambda ds: {
                 "pairs": ds.count(),
-                "gold_pairs": int(ds.sum("label") or 0),
+                "gold_pairs": _total(ds, "label", lambda c: pc.sum(c).as_py()),
             }
         if name == "scored":
-
-            def fn(ds):
-                def agg(b):
-                    n = pc.sum(
-                        pc.greater_equal(b["score"], pa.scalar(float(threshold)))
-                    ).as_py()
-                    return pa.table({"n": pa.array([n or 0], pa.int64())})
-
-                edges = (
-                    ds.select_columns(["score"])
-                    .map_batches(agg, batch_format="pyarrow")
-                    .sum("n")
-                )
-                return {"pairs": ds.count(), "match_edges": int(edges or 0)}
-
-            return fn
+            at = pa.scalar(float(threshold))
+            return lambda ds: {
+                "pairs": ds.count(),
+                "match_edges": _total(
+                    ds, "score", lambda c: pc.sum(pc.greater_equal(c, at)).as_py()
+                ),
+            }
         if name == "clusters":
             return lambda ds: {
                 "nodes": ds.count(),
@@ -186,26 +183,28 @@ def run_er_pipeline(
             }
         return None
 
-    def persist(ds, name):
+    def persist(build, name):
         """Break lineage once per stage: Parquet checkpoint (resumable)
-        when workdir is set, else pin in the object store."""
+        when workdir is set, else pin in the object store. ``build()``
+        returns the stage's Dataset; a stage whose checkpoint is complete
+        resumes without calling it, because building can run eager work
+        (the pair stage's skew census, auto CC's edge collection)."""
         if workdir:
+            stage_dir = os.path.join(workdir, name)
+            fp = stage_fps[name]
+            ds = None if ckpt.is_complete(stage_dir, fp) else build()
             return ckpt.checkpoint(
-                ds,
-                os.path.join(workdir, name),
-                name,
-                stage_fps[name],
-                counters_fn=_stage_counters(name),
+                ds, stage_dir, name, fp, counters_fn=_stage_counters(name)
             )
-        return ds.materialize()
+        return build().materialize()
 
-    def persist_if_reused(ds, name):
+    def persist_if_reused(build, name):
         """Stages consumed exactly once in the streaming production path
         (no workdir, no eval) stay LAZY — their one consumer drives them
         with no extra barrier/materialization."""
         if workdir or evaluate:
-            return persist(ds, name)
-        return ds
+            return persist(build, name)
+        return build()
 
     import ray
 
@@ -216,7 +215,7 @@ def run_er_pipeline(
         idf=idf,
         return_idf=True,
     )
-    mentions = persist(mentions_lazy, "mentions")
+    mentions = persist(lambda: mentions_lazy, "mentions")
     # the fused score stage rebuilds tf-idf weights from the packed
     # transport, reusing the SAME broadcast ref the mentions were
     # built with (one plasma copy)
@@ -224,7 +223,7 @@ def run_er_pipeline(
     if model_json is not None:
         # production path: scoring fused into the same bucket task
         scored = persist_if_reused(
-            generate_pair_features(
+            lambda: generate_pair_features(
                 mentions,
                 n_max=n_max,
                 keep_gold=keep_gold,
@@ -238,7 +237,7 @@ def run_er_pipeline(
         if not keep_gold:
             raise ValueError("model_json required when gold labels absent")
         features = persist(
-            generate_pair_features(
+            lambda: generate_pair_features(
                 mentions,
                 n_max=n_max,
                 keep_gold=keep_gold,
@@ -249,11 +248,13 @@ def run_er_pipeline(
         )
         model_json = train_pairwise_model(features)
         scored = persist(
-            score_pairs(features, model_json, threshold=threshold), "scored"
+            lambda: score_pairs(features, model_json, threshold=threshold), "scored"
         )
-    edges = edges_from_scores(scored, threshold=threshold)
     clusters = persist_if_reused(
-        assign_clusters(mentions, edges, method=cc_method), "clusters"
+        lambda: assign_clusters(
+            mentions, edges_from_scores(scored, threshold=threshold), method=cc_method
+        ),
+        "clusters",
     )
 
     out = {"clusters": clusters, "scored": scored, "model_json": model_json}

@@ -115,14 +115,25 @@ def sized_partitions(
 
 
 def known_size(ds) -> tuple[int | None, int | None]:
-    """(row count, bytes) of a Dataset IF knowable without executing it
-    (materialized / metadata-complete); (None, None) otherwise. Never
-    triggers execution — lazy pipelines stay lazy."""
+    """(row count, bytes) of a Dataset IF knowable without executing it;
+    (None, None) otherwise. Never triggers execution — lazy pipelines
+    stay lazy.
+
+    Knowable means materialized, or a lazy plan whose size Ray infers
+    from metadata alone: a pure parquet read (e.g. a checkpoint's
+    read-back) reports rows and bytes from its footers, while a read
+    followed by ``map_batches`` does not. The plan probe uses Ray's
+    private ``_logical_plan.dag.infer_metadata()`` (Ray 2.49); if it is
+    missing or partial the answer is (None, None), which changes only
+    which path a sizing guard takes, never a result."""
     try:
         from ray.data.dataset import MaterializedDataset
 
         if isinstance(ds, MaterializedDataset):
             return ds.count(), ds.size_bytes()
+        meta = ds._logical_plan.dag.infer_metadata()
+        if meta.num_rows is not None and meta.size_bytes is not None:
+            return int(meta.num_rows), int(meta.size_bytes)
     except Exception:
         pass
     return None, None

@@ -30,7 +30,8 @@ def main(argv=None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    owns_session = not ray.is_initialized()
+    if owns_session:
         ray.init(
             address="local",
             num_cpus=args.num_cpus,
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
 
     import ray.data as rd
 
-    from .pipelines.er import run_er_pipeline
+    from .pipelines.er import PIPELINE_VERSION, run_er_pipeline
     from .sources import checkpoint as ckpt
     from .state import load_pretrained_idf, load_pretrained_model_json
 
@@ -60,22 +61,33 @@ def main(argv=None) -> int:
     t0 = time.time()
     from pubmed_and_method_ray.sources.io import read_parquet_clean
 
+    idf = load_pretrained_idf()
     pages = read_parquet_clean(args.input, file_extensions=["parquet"])
     out = run_er_pipeline(
         pages,
         model_json=model_json,
-        idf=load_pretrained_idf(),
+        idf=idf,
         workdir=args.workdir,
         n_max=args.n_max,
         threshold=args.threshold,
         keep_gold=False,
         evaluate=False,
     )
+    # every input that can change the clusters: a rerun into the same
+    # --output with other input files, model, idf or pipeline version
+    # recomputes
     clusters = ckpt.checkpoint(
         out["clusters"],
         args.output,
         "clusters_out",
-        ckpt.fingerprint(args.input, args.n_max, args.threshold),
+        ckpt.fingerprint(
+            PIPELINE_VERSION,
+            tuple(sorted(pages.input_files() or [])),
+            args.n_max,
+            args.threshold,
+            ckpt.content_digest(model_json.encode()),
+            None if idf is None else ckpt.content_digest(idf.tobytes()),
+        ),
     )
     n = clusters.count()
     elapsed = time.time() - t0
@@ -89,7 +101,8 @@ def main(argv=None) -> int:
             }
         )
     )
-    ray.shutdown()
+    if owns_session:
+        ray.shutdown()
     return 0
 
 

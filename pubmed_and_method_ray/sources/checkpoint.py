@@ -30,6 +30,14 @@ def fingerprint(*parts) -> str:
     return h.hexdigest()
 
 
+def content_digest(data: bytes) -> str:
+    """Short content hash for fingerprinting large inputs (model JSON,
+    idf vector bytes) whose ``repr`` would be huge or truncated."""
+    import hashlib
+
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
 def manifest_path(stage_dir: str) -> str:
     return os.path.join(stage_dir, MANIFEST)
 
@@ -67,7 +75,9 @@ def checkpoint(
 ):
     """Write ``ds`` to ``stage_dir`` (atomic) with a lineage manifest and
     return a Dataset reading it back. If a complete checkpoint with the
-    same fingerprint exists, skip the write and just read.
+    same fingerprint exists, skip the write and just read; ``ds`` is not
+    touched then, so a caller that has checked ``is_complete`` may pass
+    None instead of building the stage.
 
     ``counters_fn(read_back_ds) -> dict`` computes stage-semantic golden
     counts (the reference's count-assertion philosophy,

@@ -214,7 +214,6 @@ def skew_table_fast(
     n_max: int,
     sample_mod: int = 8,
     distributed: bool | None = None,
-    n_rows_hint: int | None = None,
 ):
     """HOST skew census on a deterministic 1/sample_mod mention sample,
     scaled back up. SAFE approximation: salting is a load-balancing
@@ -238,20 +237,16 @@ def skew_table_fast(
     )
     if distributed is None:
         n_rows, _ = known_size(mentions_ds)
-        if n_rows is None:
-            n_rows = n_rows_hint  # lazy input: caller-supplied row hint
         distributed = n_rows is None or (n_rows // sample_mod) > _CENSUS_DRIVER_BUDGET
         if n_rows is None:
-            # no-silent-path convention: a lazy (non-materialized) input
-            # with no hint silently takes the distributed merge —
-            # measured ~8x slower than the driver merge at bench scale.
-            # Callers with a known size should materialize upstream or
-            # pass n_rows_hint.
+            # no-silent-path convention: an unsized input takes the
+            # distributed merge — measured ~8x slower than the driver
+            # merge at bench scale
             import logging
 
             logging.getLogger(__name__).info(
-                "skew census: input size unknown (lazy dataset, no "
-                "n_rows_hint) — taking the distributed merge path"
+                "skew census: input size not inferable without executing "
+                "the plan — taking the distributed merge path"
             )
 
     if distributed:
@@ -716,6 +711,9 @@ def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
 
     _check_block_integrity_assumption()
 
+    # sized alike for a materialized input (no workdir) and a
+    # checkpoint's parquet read-back (workdir): both bucket counts and
+    # the census merge path come from metadata, without executing
     n_rows, n_bytes = known_size(mentions_ds)
     n_buckets = n_pair_buckets(n_rows=n_rows, n_bytes=n_bytes)
 

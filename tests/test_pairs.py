@@ -250,6 +250,67 @@ class TestSkewCensus:
         assert (n_drv == n_dst).all()
         assert len(k_drv) > 0  # n_max=8 makes every real host heavy
 
+    def test_checkpoint_read_back_all_paths_agree(self, mentions, tmp_path, caplog):
+        """On a checkpoint read-back, auto takes the driver merge (the
+        size is known from footers) and all three paths agree."""
+        import logging
+
+        from pubmed_and_method_ray.stages import blocking
+
+        ds = _checkpoint_read_back(mentions, str(tmp_path / "mentions"))
+        with caplog.at_level(logging.INFO, logger=blocking.__name__):
+            k_auto, n_auto = blocking.skew_table_fast(ds, n_max=8)
+        assert "distributed merge" not in caplog.text
+        k_drv, n_drv = blocking.skew_table_fast(ds, n_max=8, distributed=False)
+        k_dst, n_dst = blocking.skew_table_fast(ds, n_max=8, distributed=True)
+        assert len(k_auto) > 0
+        for k, n in ((k_drv, n_drv), (k_dst, n_dst)):
+            assert (k == k_auto).all() and (n == n_auto).all()
+
+
+def _checkpoint_read_back(mentions, stage_dir):
+    """Write ``mentions`` as a stage checkpoint (three files) and return
+    the checkpoint's lazy parquet read-back."""
+    from pubmed_and_method_ray.sources import checkpoint as ckpt
+
+    return ckpt.checkpoint(
+        rd.from_arrow(mentions).repartition(3), stage_dir, "mentions", "fp"
+    )
+
+
+class TestKnownSize:
+    def test_checkpoint_read_back_sized_from_footers(self, mentions, tmp_path):
+        """A pure parquet read reports (rows, bytes) without executing:
+        the sizes survive deleting the files, which an executed read
+        could not."""
+        import os
+
+        from pubmed_and_method_ray.rayutil import known_size
+
+        stage_dir = str(tmp_path / "mentions")
+        ds = _checkpoint_read_back(mentions, stage_dir)
+        expect_bytes = ds.size_bytes()
+        for f in os.listdir(stage_dir):
+            if f.endswith(".parquet"):
+                os.remove(os.path.join(stage_dir, f))
+        n_rows, n_bytes = known_size(ds)
+        assert n_rows == mentions.num_rows
+        assert n_bytes == expect_bytes > 0
+
+    def test_read_then_map_is_unsized_and_not_executed(self, mentions, tmp_path):
+        from pubmed_and_method_ray.rayutil import known_size
+
+        marker = tmp_path / "executed"
+
+        def touch(b):
+            marker.write_text("x")
+            return b
+
+        ds = _checkpoint_read_back(mentions, str(tmp_path / "mentions"))
+        mapped = ds.map_batches(touch, batch_format="pyarrow")
+        assert known_size(mapped) == (None, None)
+        assert not marker.exists()
+
 
 class TestBlockCensus:
     def test_census_counts(self, mentions):

@@ -92,7 +92,8 @@ class TestCheckpointResume:
         man1 = ckpt.read_manifest(os.path.join(workdir, "features"))
         assert man1 and man1["complete"] and man1["rows"] > 0
         assert man1["counters"]["pairs"] == man1["rows"]
-        assert man1["counters"]["gold_pairs"] > 0
+        labels = rd.read_parquet(os.path.join(workdir, "features")).to_pandas()["label"]
+        assert man1["counters"]["gold_pairs"] == int(labels.sum()) > 0
         wrote_at = man1["written_at"]
 
         # simulate a crash after 'features': later stages lost
@@ -110,6 +111,33 @@ class TestCheckpointResume:
         a = clusters1.sort_values("url").reset_index(drop=True)
         b = out2["clusters"].to_pandas().sort_values("url").reset_index(drop=True)
         assert (a["cluster_id"] == b["cluster_id"]).all()
+
+    def test_full_resume_builds_no_pair_stage(
+        self, pages, result, tmp_path_factory, monkeypatch
+    ):
+        """A rerun into a complete workdir reads the checkpoints back
+        without building the pair stage, whose skew census runs eagerly
+        while its plan is built."""
+        from pubmed_and_method_ray.stages import blocking
+
+        calls = []
+        real = blocking.skew_table_fast
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(blocking, "skew_table_fast", counting)
+        workdir = str(tmp_path_factory.mktemp("ckpt_full"))
+        kw = dict(n_max=256, workdir=workdir, model_json=result["model_json"])
+        cold = run_er_pipeline(pages, **kw)["clusters"].to_pandas()
+        assert calls, "the cold run must run the census"
+        del calls[:]
+        resumed = run_er_pipeline(pages, **kw)["clusters"].to_pandas()
+        assert not calls
+        a = cold.sort_values("url").reset_index(drop=True)
+        b = resumed.sort_values("url").reset_index(drop=True)
+        assert a.equals(b)
 
     def test_changed_input_invalidates_checkpoints(self, pages, tmp_path_factory):
         """Same workdir + DIFFERENT input must recompute, not silently
@@ -169,6 +197,48 @@ class TestCheckpointResume:
         cdf = out["clusters"].to_pandas()
         assert cman["counters"]["nodes"] == len(cdf)
         assert cman["counters"]["clusters"] == cdf["cluster_id"].nunique()
+
+        # the distinct counters agree on both sized_groupby_agg paths
+        from pubmed_and_method_ray.rayutil import sized_groupby_agg
+
+        for stage, col, key in (
+            ("mentions", "host", "distinct_hosts"),
+            ("clusters", "cluster_id", "clusters"),
+        ):
+            ds = rd.read_parquet(os.path.join(workdir, stage)).select_columns([col])
+            n = {
+                driver: sized_groupby_agg(ds, [col], [], driver=driver).count()
+                for driver in (True, False)
+            }
+            man = ckpt.read_manifest(os.path.join(workdir, stage))
+            assert n[True] == n[False] == man["counters"][key]
+
+
+class TestRunEntry:
+    def test_rerun_with_other_model_recomputes_output(self, pages, tmp_path_factory):
+        """``run.py`` into the same --output with a different model must
+        recompute the clusters, not return the old model's."""
+        from pubmed_and_method_ray import run
+        from pubmed_and_method_ray.state import MODEL_PATH
+
+        tmp = tmp_path_factory.mktemp("run_entry")
+        in_dir, out_dir = str(tmp / "pages"), str(tmp / "out")
+        rd.from_pandas(pages.to_pandas()).write_parquet(in_dir)
+        never = tmp / "never_match.json"
+        never.write_text(
+            json.dumps({"base_score": -50.0, "learning_rate": 0.2, "trees": []})
+        )
+
+        def n_clusters(model_path):
+            argv = ["--input", in_dir, "--output", out_dir, "--model", model_path]
+            assert run.main(argv) == 0
+            cdf = rd.read_parquet(out_dir).to_pandas()
+            assert len(cdf) == pages.count()
+            return cdf["cluster_id"].nunique()
+
+        assert n_clusters(MODEL_PATH) < pages.count()
+        # a model that matches nothing leaves every page a singleton
+        assert n_clusters(str(never)) == pages.count()
 
 
 class TestConnectedComponents:
