@@ -19,9 +19,11 @@ __version__ = "0.1.0"
 
 def _configure_ray_data() -> None:
     """Engine-wide Ray Data defaults. HASH_SHUFFLE is required for
-    key-based repartition (the pair-generation exchange) and is the
-    strategy that scales aggregations on a multi-node cluster; it must be
-    set before any Dataset is created (contexts snapshot at creation)."""
+    key-based repartition (the dedup, as-of and relational exchanges;
+    the ER pair exchange is ``rayutil.keyed_exchange`` and uses none of
+    this) and is the strategy that scales aggregations on a multi-node
+    cluster; it must be set before any Dataset is created (contexts
+    snapshot at creation)."""
     try:
         from ray.data.context import DataContext, ShuffleStrategy
 
@@ -32,9 +34,10 @@ def _configure_ray_data() -> None:
         # groupby().map_groups) the aggregators only concatenate received
         # partitions — measured 2.9 cpu-s of finalize work while their
         # reservation idled HALF the cluster (0.25 x 64 partitions = 16 of
-        # 32 CPUs) through the downstream featurize/score tasks; 0.05 per
-        # partition freed them: pair exchange 42.8s -> 28.7s min-per-side
-        # interleaved at 32 cpus / 400k pages. Native aggregates and joins
+        # 32 CPUs) through the downstream map tasks; 0.05 per partition
+        # freed them: measured on the ER pair exchange when it still ran
+        # as a keyed repartition, 42.8s -> 28.7s min-per-side interleaved
+        # at 32 cpus / 400k pages. Native aggregates and joins
         # do real reduction work inside their aggregators, so they keep
         # the larger reservation (still fractional so a shuffle with more
         # partitions than CPUs schedules instead of deadlocking on small

@@ -1002,7 +1002,7 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
     broadcast; shuffle volume is P x input, work is the inherent O(n^2)
     of the exact operator (use dedup_minhash_lsh / ann_topk_lsh for the
     approximate web-scale path)."""
-    from ..rayutil import lpt_buckets, partition_reps
+    from ..rayutil import keyed_exchange, lpt_buckets
     from ..sources.io import read_parquet_sized
 
     dsz = read_parquet_sized(
@@ -1010,17 +1010,13 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
     )
 
     # exchange-placement plan (driver, deterministic): LPT-pack the
-    # C(P,2)+P triangle groups into the output partitions by matmul work
-    # (diagonal groups pair a partition with itself — half the work),
-    # then map each group's bucket to a hash-bijective representative so
-    # the keyed repartition lands it in exactly that block (raw grp ids
-    # collide mod num_blocks inside Ray's hash partitioner, idling
-    # workers during the matmul wave — see rayutil.partition_reps)
+    # C(P,2)+P triangle groups into the output blocks by matmul work
+    # (diagonal groups pair a partition with itself — half the work);
+    # the keyed exchange lands each group in exactly its bucket's block
     nblocks = shuffle_partitions()
     used = [(a, b) for a in range(n_parts) for b in range(a, n_parts)]
     wts = [0.5 if a == b else 1.0 for a, b in used]
-    reps = np.asarray(partition_reps(nblocks), dtype=np.int64)
-    gbuckets = reps[lpt_buckets(wts, nblocks)]
+    gbuckets = lpt_buckets(wts, nblocks)
     bucket_of_grp = np.zeros(n_parts * n_parts, dtype=np.int64)
     for (a, b), v in zip(used, gbuckets):
         bucket_of_grp[a * n_parts + b] = v
@@ -1127,11 +1123,9 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
             }
         )
 
-    return (
-        dsz.map_batches(replicate, batch_format="pyarrow")
-        .repartition(num_blocks=nblocks, keys=["bucket"])
-        .map_batches(group_pairs, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_exchange(
+        dsz.map_batches(replicate, batch_format="pyarrow"), "bucket", nblocks
+    ).map_batches(group_pairs, batch_format="pyarrow", batch_size=None)
 
 
 def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):

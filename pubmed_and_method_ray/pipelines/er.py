@@ -95,16 +95,13 @@ def run_er_pipeline(
     With ``workdir`` set, each stage checkpoints to
     ``{workdir}/{stage}/`` with a lineage manifest; a rerun with the same
     fingerprints resumes from the last complete stage. Fingerprints fold
-    in the INPUT identity (source files of ``pages_ds``), the idf vector
+    in the INPUT identity (``checkpoint.input_identity``), the idf vector
     and the model weights, and chain per stage — rerunning the same
     workdir with a different input/model/param invalidates every
     downstream checkpoint instead of silently reusing stale data
     (checkpoint.py contract).
     """
-    try:
-        input_id = tuple(sorted(pages_ds.input_files() or []))
-    except Exception:
-        input_id = ("<non-file-input>",)
+    input_id = ckpt.input_identity(pages_ds)
     idf_id = ckpt.content_digest(idf.tobytes()) if idf is not None else None
     model_id = ckpt.content_digest(model_json.encode()) if model_json else None
     fp_mentions = ckpt.fingerprint(
@@ -219,7 +216,7 @@ def run_er_pipeline(
     # the fused score stage rebuilds tf-idf weights from the packed
     # transport, reusing the SAME broadcast ref the mentions were
     # built with (one plasma copy)
-    # fused pair-gen + featurization: one hash shuffle, no wide pair rows
+    # fused pair-gen + featurization: one keyed exchange, no wide pair rows
     if model_json is not None:
         # production path: scoring fused into the same bucket task
         scored = persist_if_reused(

@@ -43,10 +43,12 @@ def tune_data_context(cpus: int | None = None) -> None:
     round-trips dominate hash-exchange wall — each push task ray.puts and
     actor-submits one shard PER PARTITION and then blocks on the acks
     (ray hash_shuffle.py `_shuffle_block`), so push overhead is
-    blocks x partitions; measured here: the keyed pair exchange runs
-    2-3x faster from 2-per-CPU blocks than from 200-floor blocks at
-    identical bytes (5.1-5.8 s vs 10.9-18.5 s, 400k pages / 1.2 GB /
-    32 partitions). On a 256-node cluster the same floor is too LOW —
+    blocks x partitions (``keyed_exchange`` puts the same blocks x
+    partitions slices, without the actor round-trips); measured when the
+    ER pair exchange was still a keyed repartition: it ran 2-3x faster
+    from 2-per-CPU blocks than from 200-floor blocks at identical bytes
+    (5.1-5.8 s vs 10.9-18.5 s, 400k pages / 1.2 GB / 32 partitions).
+    On a 256-node cluster the same floor is too LOW —
     200 blocks cannot feed 8192 cores. Floor = 2 blocks/CPU, which is
     Ray's own `avail_cpus * 2` baseline; the bytes-driven
     min_safe_parallelism (mem_size / target_max_block_size) still grows
@@ -139,49 +141,72 @@ def known_size(ds) -> tuple[int | None, int | None]:
     return None, None
 
 
-def partition_reps(n: int) -> "tuple[int, ...]":
-    """Representative int32 values r[0..n-1] such that Ray 2.49's keyed
-    hash partitioner (``hash((pa.scalar(r_i, int32),)) % n``, see
-    ray/data/_internal/arrow_ops/transform_pyarrow.py:hash_partition)
-    sends logical bucket i to output partition i, 1:1.
+def _split_by_part(t, part_col: str, n_parts: int):
+    """Split task of ``keyed_exchange``: one block -> ``n_parts`` slices,
+    slice i holding exactly the rows whose ``part_col`` is i, in input
+    order (stable sort, then zero-copy slices of the sorted table)."""
+    import numpy as np
+    from ray.data.block import BlockAccessor
 
-    Why: ``repartition(num_blocks=n, keys=["bucket"])`` hashes the
-    bucket VALUE, so consecutive 0..n-1 bucket ids collide mod n —
-    measured 27/32 non-empty output blocks on the pair exchange (5 idle
-    CPUs through the whole score wave, busiest merged block 1.87x the
-    mean). Remapping each bucket id to a representative whose hash
-    lands in a distinct partition restores exactly one work-packed
-    bucket per output block. pyarrow scalar hashes are value-derived
-    and cross-process stable (verified: identical across fresh
-    interpreters, unaffected by PYTHONHASHSEED), so the driver-side
-    probe predicts worker-side placement.
+    t = BlockAccessor.for_block(t).to_arrow()
+    col = t[part_col]
+    p = np.asarray(col.to_numpy(zero_copy_only=False))
+    if col.null_count or (len(p) and (p.min() < 0 or p.max() >= n_parts)):
+        raise ValueError(f"{part_col} must hold ints in [0, {n_parts})")
+    order = np.argsort(p, kind="stable")
+    t = t.take(order)
+    bounds = np.searchsorted(p[order], np.arange(n_parts + 1))
+    slices = [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return slices if n_parts > 1 else slices[0]
 
-    Correctness never depends on the 1:1 property — downstream bucket
-    tasks segment by (host, salt) and handle any mix of logical buckets
-    per block — so if a future Ray/pyarrow changes the hash, this
-    degrades to an arbitrary (current) distribution, not an error.
-    Missing reps past the probe cap fall back to identity."""
-    global _REPS_CACHE
-    hit = _REPS_CACHE.get(n)
-    if hit is not None:
-        return hit
+
+def _merge_part(*slices):
+    """Merge task of ``keyed_exchange``: one partition's slices from
+    every split task -> one contiguous block."""
     import pyarrow as pa
 
-    rep: dict[int, int] = {}
-    v, cap = 0, max(4096, 64 * n)
-    while len(rep) < n and v < cap:
-        p = hash((pa.scalar(v, pa.int32()),)) % n
-        if p not in rep:
-            rep[p] = v
-        v += 1
-    out = tuple(rep.get(i, i) for i in range(n))
-    if len(_REPS_CACHE) > 64:
-        _REPS_CACHE.clear()
-    _REPS_CACHE[n] = out
-    return out
+    return pa.concat_tables(slices, promote_options="default").combine_chunks()
 
 
-_REPS_CACHE: dict = {}
+def keyed_exchange(ds, part_col: str, n_parts: int):
+    """Deliver every row to the partition its ``part_col`` names: output
+    block i holds exactly the rows whose ``part_col`` is i (an int in
+    [0, n_parts)), as one contiguous block with the input schema — empty
+    blocks included.
+
+    The caller plans the partition of every row (e.g. LPT-packed pair
+    buckets), so the exchange only moves rows: one split task per input
+    block sorts by ``part_col`` and returns ``n_parts`` slices, one merge
+    task per partition concatenates its slices. Plain tasks, no actors
+    (the map/reduce shuffle of Exoshuffle, SIGCOMM 2023): nothing holds
+    CPUs across the exchange, so it also runs on a 1-CPU cluster. M
+    input blocks put M x n_parts slice objects, as many as a hash
+    shuffle's push tasks put.
+
+    The input runs and the tasks are submitted when this is called (an
+    exchange is a barrier; split tasks start as input blocks arrive);
+    consumers of the returned Dataset stay lazy."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    split = ray.remote(_split_by_part).options(num_returns=n_parts)
+    shards = [
+        split.remote(ref, part_col, n_parts)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    if not shards:
+        schema = ds.schema()
+        schema = getattr(schema, "base_schema", schema) or pa.schema([])
+        return rd.from_arrow_refs(
+            [ray.put(schema.empty_table()) for _ in range(n_parts)]
+        )
+    if n_parts == 1:
+        shards = [[s] for s in shards]
+    merge = ray.remote(_merge_part)
+    merged = [merge.remote(*col) for col in zip(*shards)]
+    return rd.from_arrow_refs(merged)
 
 
 def lpt_buckets(weights, n_buckets: int):

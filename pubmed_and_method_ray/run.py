@@ -74,15 +74,15 @@ def main(argv=None) -> int:
         evaluate=False,
     )
     # every input that can change the clusters: a rerun into the same
-    # --output with other input files, model, idf or pipeline version
-    # recomputes
+    # --output with other or rewritten input files, model, idf or
+    # pipeline version recomputes
     clusters = ckpt.checkpoint(
         out["clusters"],
         args.output,
         "clusters_out",
         ckpt.fingerprint(
             PIPELINE_VERSION,
-            tuple(sorted(pages.input_files() or [])),
+            ckpt.input_identity(pages),
             args.n_max,
             args.threshold,
             ckpt.content_digest(model_json.encode()),

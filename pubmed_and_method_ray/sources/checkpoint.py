@@ -38,6 +38,32 @@ def content_digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
+def input_identity(ds) -> tuple:
+    """Identity of a Dataset's input for fingerprinting: (path, byte
+    size, footer row count) per source file, so a file rewritten in
+    place invalidates the checkpoints built from it. An input without
+    source files (in-memory data) or with one that cannot be inspected
+    gets a fresh token per call: it never resumes a checkpoint."""
+    import uuid
+
+    import pyarrow.fs as pafs
+    import pyarrow.parquet as pq
+
+    try:
+        ident = []
+        for path in sorted(ds.input_files()):
+            fs, p = pafs.FileSystem.from_uri(path)
+            size = fs.get_file_info(p).size
+            with fs.open_input_file(p) as f:
+                rows = pq.ParquetFile(f).metadata.num_rows
+            ident.append((path, size, rows))
+        if ident:
+            return tuple(ident)
+    except (OSError, ValueError):  # unreadable, or not a parquet file
+        pass
+    return ("<unstable-input>", uuid.uuid4().hex)
+
+
 def manifest_path(stage_dir: str) -> str:
     return os.path.join(stage_dir, MANIFEST)
 

@@ -10,7 +10,7 @@ together if ANY band agrees), and explicit salting of skewed mega-blocks
 (north_rule; skew acknowledged in reference README.md:3).
 
 Design notes (scale):
-- ONE all-to-all shuffle, partitioned by HOST, one row per mention: all
+- ONE all-to-all exchange, partitioned by HOST, one row per mention: all
   band keys of a mention share its host, so banding runs LOCALLY inside
   each exchanged partition instead of replicating every mention's
   payload once per band (6x less exchange volume than band-keyed
@@ -82,8 +82,8 @@ def _bands_matrix(group: pa.Table) -> np.ndarray:
         off += w
     return out
 
-# memory bound per pair-gen hash partition: a bucket task holds its
-# whole partition block (mention payloads) plus the pair expansion, so
+# memory bound per pair bucket: a bucket task holds its
+# whole bucket block (mention payloads) plus the pair expansion, so
 # blocks are sized to ~128 MiB of exchanged payload regardless of input
 # scale — the count GROWS with data volume instead of capping at a
 # constant (a 64-way cap would mean ~1.6 TB/partition at 100 TB).
@@ -103,31 +103,22 @@ def n_pair_buckets(
     n_bytes: int | None = None,
     cpus: int | None = None,
 ) -> int:
-    """Hash-exchange partition count for pair generation: TWO per CPU,
-    grown past that when the (known) input volume would otherwise
-    overfill a partition block.
+    """Bucket count for pair generation (one exchange partition and one
+    score task per bucket): TWO per CPU, grown past that when the
+    (known) input volume would otherwise overfill a bucket block.
 
-    Tuning history matters here — this constant has flipped twice, each
-    time because a FIXED overhead proportional to partition count was
-    masking the packing benefit of finer buckets: (1) with Ray's default
-    aggregator reservation (0.25 logical CPU x partitions held for the
-    exchange lifetime) two-per-CPU looked best; (2) with the engine's
-    0.05-per-partition override, one-per-CPU measured best (32 parts
-    20.8s vs 64 at 29.2s at 32 cpus) — but that run predated the
-    read-block-floor fix, so push overhead (input blocks x partitions
-    actor round-trips) still grew linearly with partition count; (3)
-    with 2-per-CPU input blocks, interleaved paired rounds on the same
-    399,714-page input measure 64 partitions at-or-faster than 32 in
-    every round at 32 cpus (paired walls 16.0/20.4, 14.2/15.3,
-    20.0/19.6, 12.1/17.6, 12.9/18.8 — median 1.27x) and 16 at-or-faster
-    than 8 at 8 cpus: finer buckets pack the score wave's skewed tasks
-    better, and the per-partition cost is now small enough to pay.
-    At HALF that input (199,826 pages) the same interleaved A/B flips
-    (0.88x — each bucket no longer carries enough work to amortize its
-    fixed banding/dedup cost), so when the row count is knowable the
+    Measured at 32 cpus on 399,714 pages, interleaved paired rounds put
+    64 buckets at-or-faster than 32 in every round (median 1.27x) and 16
+    at-or-faster than 8 at 8 cpus: finer buckets pack the score wave's
+    skewed tasks better. At HALF that input (199,826 pages) the A/B
+    flips (0.88x — each bucket no longer carries enough work to amortize
+    its fixed banding/dedup cost), so when the row count is knowable the
     count interpolates at ~PAIR_ROWS_PER_BUCKET mentions/bucket inside
     the [cpus, 2*cpus] clamp; unknown (lazy) inputs default to the
-    fine-grained end, which is also the memory-safer choice at scale."""
+    fine-grained end, which is also the memory-safer choice at scale.
+    Those rounds ran on Ray's actor hash shuffle, whose per-partition
+    fixed costs the task exchange (``rayutil.keyed_exchange``) does not
+    pay; the constants have not been re-measured at 32 cpus since."""
     from ..rayutil import tune_data_context, cluster_cpus
 
     cpus = cluster_cpus() if cpus is None else cpus
@@ -415,11 +406,12 @@ def emit_pair_keys(
     out = out.append_column("salt", pa.array(salts, pa.int32()))
     out = out.append_column("sa", pa.array(sas, pa.int32()))
     out = out.append_column("sb", pa.array(sbs, pa.int32()))
-    # group-bucketing: the pair-gen exchange shuffles on this small int
-    # key and each downstream task then processes MANY hosts in one
-    # Python call (per-group map_groups overhead dominates otherwise).
-    # Heavy unsalted hosts take their LPT-packed bucket (work balance);
-    # the light tail and salted segments hash.
+    # group-bucketing: the pair exchange delivers each row to block
+    # ``bucket`` (0..n_buckets-1) and each downstream task then
+    # processes MANY hosts in one Python call (per-group map_groups
+    # overhead dominates otherwise). Heavy unsalted hosts take their
+    # LPT-packed bucket (work balance); the light tail and salted
+    # segments hash.
     buckets = _pair_bucket(hhs, sas, sbs, n_buckets)
     if len(pack_keys):
         ppos = np.searchsorted(pack_keys, hhs)
@@ -427,14 +419,6 @@ def emit_pair_keys(
         packed = pack_keys[ppos_c] == hhs
         if packed.any():
             buckets = np.where(packed, pack_buckets[ppos_c], buckets)
-    # remap logical bucket ids to hash-bijective representatives so the
-    # keyed repartition lands exactly one work-packed bucket per output
-    # block (rayutil.partition_reps — the raw 0..n-1 ids collide mod n
-    # inside Ray's hash partitioner, idling CPUs through the score wave)
-    from ..rayutil import partition_reps
-
-    reps = np.asarray(partition_reps(n_buckets), dtype=np.int64)
-    buckets = reps[buckets]
     return out.append_column("bucket", pa.array(buckets, pa.int32()))
 
 
@@ -580,7 +564,7 @@ def make_pairs_bucket(group: pa.Table, n_max: int = 512, keep_gold: bool = True)
     Used by tests and the unfused path; the production pipeline fuses
     featurization instead (make_features_bucket) so these wide rows never
     materialize at scale."""
-    # hash-shuffled blocks arrive as many tiny chunks; contiguous memory
+    # a caller's table may arrive in many chunks; contiguous memory
     # first, or every take() below pays per-chunk overhead
     group = group.combine_chunks()
     left_idx, right_idx, sizes = _bucket_pair_indices(group, n_max)
@@ -672,44 +656,14 @@ def _empty_pairs(with_label: bool, group: pa.Table) -> pa.Table:
     return pa.Table.from_pydict({f.name: pa.array([], f.type) for f in fields})
 
 
-_TESTED_RAY_MINOR = ("2.49",)
-_version_warned = False
-
-
-def _check_block_integrity_assumption() -> None:
-    """Pair generation requires each hash partition to arrive as ONE
-    map_batches batch (batch_size=None + one block per partition — true
-    in Ray 2.49's hash-shuffle finalize). Ray's source carries a TODO to
-    split oversized partition blocks, which would silently break
-    pair_key groups, so fail LOUDLY on an untested Ray minor."""
-    global _version_warned
-    import ray
-
-    if _version_warned:
-        return
-    _version_warned = True
-    if not any(ray.__version__.startswith(v) for v in _TESTED_RAY_MINOR):
-        import warnings
-
-        warnings.warn(
-            f"ray {ray.__version__} not validated for one-block-per-"
-            "hash-partition pair generation; re-verify with "
-            "tests/test_pairs.py brute-force oracles before trusting "
-            "pair counts",
-            RuntimeWarning,
-        )
-
-
 def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
-    """mentions -> salted/banded pair_key rows, hash-exchanged on the
-    bucket key so WHOLE blocks hold complete pair_key groups (a plain
-    map_batches over full blocks replaces groupby().map_groups and its
-    per-group call overhead)."""
+    """mentions -> salted/banded pair_key rows, exchanged so that output
+    block i holds exactly bucket i: WHOLE blocks hold complete pair_key
+    groups (a plain map_batches over full blocks replaces
+    groupby().map_groups and its per-group call overhead)."""
     import ray
 
-    from ..rayutil import known_size
-
-    _check_block_integrity_assumption()
+    from ..rayutil import keyed_exchange, known_size
 
     # sized alike for a materialized input (no workdir) and a
     # checkpoint's parquet read-back (workdir): both bucket counts and
@@ -743,16 +697,16 @@ def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
         },
         batch_format="pyarrow",
     )
-    return keyed.repartition(num_blocks=n_buckets, keys=["bucket"])
+    return keyed_exchange(keyed, "bucket", n_buckets)
 
 
 def generate_pairs(mentions_ds, n_max: int = 512, keep_gold: bool = True):
     """mentions -> canonical labeled candidate pairs WITH payloads (one
-    hash-shuffle). Use generate_pair_features for the fused scale path."""
+    keyed exchange). Use generate_pair_features for the fused scale path."""
     return _keyed_buckets(mentions_ds, n_max, keep_gold).map_batches(
         lambda g: make_pairs_bucket(g, n_max=n_max, keep_gold=keep_gold),
         batch_format="pyarrow",
-        batch_size=None,  # one batch == one whole hash partition block
+        batch_size=None,  # one batch == one whole bucket block
     )
 
 

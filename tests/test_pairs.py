@@ -173,48 +173,90 @@ class TestPartitionScaling:
         assert got == _brute_force_pairs(mentions)
 
 
-class TestPartitionReps:
-    def test_reps_are_hash_bijective(self):
-        """partition_reps(n) must place logical bucket i in Ray's output
-        partition i under the exact hash the 2.49 keyed partitioner uses
-        (hash of the 1-tuple of the pyarrow int32 scalar, mod n). This
-        pins the optimization's contract — if a Ray/pyarrow upgrade
-        changes the hash, this test flags it (behavior degrades to an
-        arbitrary distribution, never to wrong results)."""
-        from pubmed_and_method_ray.rayutil import partition_reps
+def _blocks(ds):
+    import ray
 
-        for n in (4, 32, 48, 257):
-            reps = partition_reps(n)
-            assert len(reps) == n
-            assert len(set(reps)) == n
-            for i, r in enumerate(reps):
-                assert hash((pa.scalar(r, pa.int32()),)) % n == i
+    return [ray.get(ref) for ref in ds.to_arrow_refs()]
 
-    def test_exchange_fills_every_output_block(self):
-        """With every logical bucket populated, the remapped keyed
-        repartition must yield exactly one NON-EMPTY block per bucket —
-        no idle CPUs during the score wave (pre-remap: raw 0..n-1 ids
-        collided mod n, measured 27/32 non-empty at bench scale)."""
+
+class TestKeyedExchange:
+    """rayutil.keyed_exchange: block i of the output holds exactly the
+    rows whose partition column is i, as one contiguous block."""
+
+    def _table(self, n_rows, n_parts):
         import numpy as np
-        import ray
 
-        from pubmed_and_method_ray.rayutil import partition_reps
-
-        n = 12
-        reps = np.asarray(partition_reps(n), dtype=np.int64)
-        t = pa.table(
+        rng = np.random.default_rng(5)
+        return pa.table(
             {
-                "x": pa.array(np.arange(10 * n), pa.int64()),
-                "bucket": pa.array(
-                    reps[np.arange(10 * n) % n], pa.int32()
+                "x": pa.array(np.arange(n_rows), pa.int64()),
+                "s": pa.array([f"r{i}" for i in range(n_rows)], pa.string()),
+                # values skip some partitions: those blocks come back empty
+                "part": pa.array(
+                    rng.integers(0, n_parts, n_rows) // 2 * 2, pa.int32()
                 ),
             }
         )
-        out = rd.from_arrow(t).repartition(num_blocks=n, keys=["bucket"])
-        sizes = [
-            ray.get(ref).num_rows for ref in out.to_arrow_refs()
-        ]
-        assert sorted(sizes) == [10] * n
+
+    def test_rows_land_in_their_block(self):
+        from pubmed_and_method_ray.rayutil import keyed_exchange
+
+        n = 9
+        t = self._table(300, n)
+        ds = rd.from_arrow([t.slice(0, 70), t.slice(70, 130), t.slice(200)])
+        blocks = _blocks(keyed_exchange(ds, "part", n))
+        assert len(blocks) == n
+        for i, b in enumerate(blocks):
+            assert b.schema == t.schema
+            assert set(b["part"].to_pylist()) <= {i}
+            assert all(c.num_chunks <= 1 for c in b.columns)
+        assert sorted(x for b in blocks for x in b["x"].to_pylist()) == list(range(300))
+        assert any(b.num_rows == 0 for b in blocks)
+        with pytest.raises(Exception):
+            _blocks(keyed_exchange(ds, "part", n - 1))
+
+    def test_single_partition_empty_and_multi_chunk_inputs(self):
+        from pubmed_and_method_ray.rayutil import keyed_exchange
+
+        t = self._table(120, 1)
+        (one,) = _blocks(keyed_exchange(rd.from_arrow(t), "part", 1))
+        assert one.equals(t)
+
+        # one empty block, and no block at all
+        for ds in (rd.from_arrow(t.slice(0, 0)), rd.from_arrow(t).limit(0)):
+            empty = _blocks(keyed_exchange(ds, "part", 4))
+            assert [b.num_rows for b in empty] == [0] * 4
+            assert all(b.schema == t.schema for b in empty)
+
+        t = self._table(200, 6)
+        chunked = pa.concat_tables([t.slice(0, 50), t.slice(50, 50), t.slice(100)])
+        assert chunked["x"].num_chunks == 3
+        blocks = _blocks(keyed_exchange(rd.from_arrow(chunked), "part", 6))
+        for i, b in enumerate(blocks):
+            want = t.filter(pa.compute.equal(t["part"], i))
+            assert b.equals(want)  # input order kept within a block
+
+    def test_groups_equal_ray_keyed_repartition(self):
+        """Same rows, same grouping as Ray's own keyed repartition (used
+        here only as the reference)."""
+        from pubmed_and_method_ray.rayutil import keyed_exchange
+
+        n = 8
+        t = self._table(400, n)
+        ds = rd.from_arrow([t.slice(0, 150), t.slice(150)])
+
+        def groups(blocks):
+            out = {}
+            for b in blocks:
+                for p in set(b["part"].to_pylist()):
+                    assert p not in out, "a partition value split over blocks"
+                    rows = b.filter(pa.compute.equal(b["part"], p))
+                    out[p] = sorted(rows["x"].to_pylist())
+            return out
+
+        ours = groups(_blocks(keyed_exchange(ds, "part", n)))
+        ref = groups(_blocks(ds.repartition(num_blocks=n, keys=["part"])))
+        assert ours == ref
 
 
 class TestHeavyHostPacking:

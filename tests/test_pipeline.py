@@ -27,6 +27,17 @@ def pages():
 
 
 @pytest.fixture(scope="module")
+def pages_file(pages, tmp_path_factory):
+    """The fixture pages read back from parquet files: a file input
+    resumes its checkpoints, an in-memory pipeline never does."""
+    from pubmed_and_method_ray.sources.io import read_parquet_clean
+
+    d = str(tmp_path_factory.mktemp("pages_file"))
+    pages.write_parquet(d)
+    return read_parquet_clean(d, file_extensions=["parquet"])
+
+
+@pytest.fixture(scope="module")
 def result(pages):
     return run_er_pipeline(pages, n_max=256)
 
@@ -85,7 +96,8 @@ class TestGroupedSplit:
 
 
 class TestCheckpointResume:
-    def test_resume_skips_completed_stages(self, pages, tmp_path_factory):
+    def test_resume_skips_completed_stages(self, pages_file, tmp_path_factory):
+        pages = pages_file
         workdir = str(tmp_path_factory.mktemp("ckpt"))
         out1 = run_er_pipeline(pages, n_max=256, workdir=workdir)
         clusters1 = out1["clusters"].to_pandas()  # snapshot before "crash"
@@ -113,12 +125,14 @@ class TestCheckpointResume:
         assert (a["cluster_id"] == b["cluster_id"]).all()
 
     def test_full_resume_builds_no_pair_stage(
-        self, pages, result, tmp_path_factory, monkeypatch
+        self, pages_file, result, tmp_path_factory, monkeypatch
     ):
         """A rerun into a complete workdir reads the checkpoints back
         without building the pair stage, whose skew census runs eagerly
         while its plan is built."""
         from pubmed_and_method_ray.stages import blocking
+
+        pages = pages_file
 
         calls = []
         real = blocking.skew_table_fast
@@ -163,6 +177,33 @@ class TestCheckpointResume:
         n2 = out2["clusters"].count()
         assert n1 == len(full) // 2
         assert n2 == len(full)  # stale mentions NOT reused
+
+    def test_rewritten_input_file_recomputes(self, pages, tmp_path_factory):
+        """Same workdir + the SAME input file rewritten with twice the
+        rows must recompute: the input identity folds each file's size
+        and footer row count, not just its name."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from pubmed_and_method_ray.sources.io import read_parquet_clean
+
+        workdir = str(tmp_path_factory.mktemp("ckpt_rewrite"))
+        in_dir = str(tmp_path_factory.mktemp("pages_rewrite"))
+        full = pa.Table.from_pandas(pages.to_pandas(), preserve_index=False)
+        half = full.slice(0, full.num_rows // 2)
+        full = full.slice(0, 2 * half.num_rows)
+
+        def n_clusters(table):
+            pq.write_table(table, os.path.join(in_dir, "pages.parquet"))
+            pages_ds = read_parquet_clean(in_dir, file_extensions=["parquet"])
+            out = run_er_pipeline(pages_ds, n_max=256, workdir=workdir, evaluate=False)
+            return out["clusters"].count()
+
+        assert n_clusters(half) == half.num_rows
+        assert n_clusters(full) == full.num_rows  # stale stages NOT resumed
+        # an input without source files has no stable identity
+        mem = rd.from_arrow(half)
+        assert ckpt.input_identity(mem) != ckpt.input_identity(mem)
 
     def test_lost_checkpoint_file_recomputes(self, pages, tmp_path_factory):
         """A manifest-complete stage dir with a missing parquet file must
@@ -239,6 +280,54 @@ class TestRunEntry:
         assert n_clusters(MODEL_PATH) < pages.count()
         # a model that matches nothing leaves every page a singleton
         assert n_clusters(str(never)) == pages.count()
+
+
+class TestOneCpuCluster:
+    def test_generate_pairs_finishes_on_one_cpu(self, pages):
+        """The pair stage runs on a 1-CPU Ray cluster (no exchange actor
+        holds a CPU its tasks need) and finds the same pairs as on the
+        test session's cluster."""
+        import signal
+        import subprocess
+        import sys
+
+        from pubmed_and_method_ray.pipelines.er import prepare_mentions
+        from pubmed_and_method_ray.stages.blocking import generate_pairs
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import ray, ray.data\n"
+            "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+            " logging_level='ERROR')\n"
+            "ray.data.DataContext.get_current().enable_progress_bars = False\n"
+            "from pubmed_and_method_ray.pipelines.er import prepare_mentions\n"
+            "from pubmed_and_method_ray.sources.pages import build_pages_dataset\n"
+            "from pubmed_and_method_ray.stages.blocking import generate_pairs\n"
+            f"pages = build_pages_dataset({SF!r}, expand_k=4)\n"
+            "mentions = prepare_mentions(pages).materialize()\n"
+            "print('PAIRS', generate_pairs(mentions, n_max=256).count())\n"
+            "ray.shutdown()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=repo)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            cwd=repo,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=180)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("generate_pairs did not finish on 1 Ray CPU in 180 s")
+        assert proc.returncode == 0
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("PAIRS")]
+        mentions = prepare_mentions(pages).materialize()
+        assert int(line.split()[1]) == generate_pairs(mentions, n_max=256).count()
 
 
 class TestConnectedComponents:
