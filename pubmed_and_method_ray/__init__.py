@@ -19,11 +19,13 @@ __version__ = "0.1.0"
 
 def _configure_ray_data() -> None:
     """Engine-wide Ray Data defaults. HASH_SHUFFLE is required for
-    key-based repartition (the dedup, as-of and relational exchanges;
-    the ER pair exchange is ``rayutil.keyed_exchange`` and uses none of
-    this) and is the strategy that scales aggregations on a multi-node
-    cluster; it must be set before any Dataset is created (contexts
-    snapshot at creation)."""
+    key-based repartition (the pair-jaccard and SimHash dedup
+    exchanges, the MinHash-LSH verify joins, as-of and the relational
+    exchanges; the ER pair exchange, shared-window dedup and the
+    MinHash-LSH band exchanges are ``rayutil.keyed_exchange`` and use
+    none of this) and is the strategy that scales aggregations on a
+    multi-node cluster; it must be set before any Dataset is created
+    (contexts snapshot at creation)."""
     try:
         from ray.data.context import DataContext, ShuffleStrategy
 

@@ -21,12 +21,17 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.simhash import minhash_signature, simhash64
-from ..rayutil import join_partitions, shuffle_partitions, sized_partitions
+from ..rayutil import (
+    join_partitions,
+    keyed_exchange,
+    shuffle_partitions,
+    sized_partitions,
+)
 
 
 def _read_documents(sf_dir: str, columns=None):
-    """Documents read: bytes-aware block count (most dedup ops feed a
-    hash exchange, where push cost is blocks x partitions — see
+    """Documents read: bytes-aware block count (most dedup ops feed an
+    exchange, whose split cost is blocks x partitions slices — see
     ``sources.io.sized_read_blocks``)."""
     from ..sources.io import read_parquet_sized
 
@@ -241,7 +246,8 @@ def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.6):
 # -- MinHash + LSH near-dup (banding -> bucket groupby -> verify) ----------
 
 class _SketchBander:
-    """Actor: text -> ONE row per doc: (doc_id, sh, bands).
+    """Task map (an instance holds three ints, so ``map_batches`` runs it
+    as plain tasks): text -> ONE row per doc: (doc_id, sh, bands).
 
     ``sh``: sorted-unique uint64 hashes of the doc's token 3-shingles as
     raw LE bytes (binary because Acero hash joins reject list-typed
@@ -433,9 +439,57 @@ _EMPTY_PAIRS = pa.Table.from_pydict(
 )
 
 
+def _hash_part(h: np.ndarray, n_parts: int) -> pa.Array:
+    """uint64 hashes -> ``keyed_exchange`` partition ids in [0, n_parts)."""
+    return pa.array(
+        (np.asarray(h, np.uint64) % np.uint64(n_parts)).astype(np.int64),
+        pa.int64(),
+    )
+
+
+def _with_pair_part(t: pa.Table, n_parts: int) -> pa.Table:
+    """Append ``part``: a splitmix64 hash of (doc_id1, doc_id2) mod
+    ``n_parts``, so every copy of a pair lands in one partition."""
+    from ..functions.hashing import splitmix64
+
+    lo = np.asarray(t["doc_id1"].to_numpy(zero_copy_only=False), np.int64)
+    hi = np.asarray(t["doc_id2"].to_numpy(zero_copy_only=False), np.int64)
+    h = splitmix64(splitmix64(lo.view(np.uint64)) ^ hi.view(np.uint64))
+    return t.append_column("part", _hash_part(h, n_parts))
+
+
+def _count_pairs(pairs, n_parts: int, count_col: str):
+    """(doc_id1, doc_id2) rows -> one row per distinct pair with its
+    multiplicity as int64 ``count_col``: one ``keyed_exchange`` on the
+    pair hash (``_with_pair_part``), then one pyarrow group_by per
+    partition. Plain tasks, no aggregator actors."""
+
+    def count(t: pa.Table) -> pa.Table:
+        res = t.group_by(["doc_id1", "doc_id2"], use_threads=False).aggregate(
+            [([], "count_all")]
+        )
+        return pa.table(
+            {
+                "doc_id1": res["doc_id1"],
+                "doc_id2": res["doc_id2"],
+                count_col: res["count_all"],
+            }
+        )
+
+    keyed = pairs.map_batches(
+        _with_pair_part,
+        fn_kwargs={"n_parts": n_parts},
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+    return keyed_exchange(keyed, "part", n_parts).map_batches(
+        count, batch_format="pyarrow", batch_size=None
+    )
+
+
 def _direct_bucket_pairs(t: pa.Table, n_max: int) -> pa.Table:
     """Candidate pairs for every bucket with 2..n_max members (whole
-    buckets are co-located by the band_key repartition). Buckets larger
+    buckets are co-located by the band_key exchange). Buckets larger
     than n_max are handled by the salted overflow exchange."""
     if t.num_rows == 0:
         return _EMPTY_PAIRS
@@ -688,37 +742,38 @@ def dedup_minhash_lsh(
     """MinHash-LSH near-dup over token 3-shingles ->
     (doc_id1, doc_id2, jaccard >= threshold), each verified pair once.
 
-    Scale shape (one exchange in the common case):
-    1. ONE fused actor pass sketches + bands each doc (payloads stay in
+    Scale shape (one exchange in the common case; every exchange is a
+    ``rayutil.keyed_exchange`` of plain tasks, so no actor starts before
+    the verify joins):
+    1. ONE fused task pass sketches + bands each doc (payloads stay in
        the materialized parent, never enter an exchange).
-    2. ONE hash repartition co-locates (band_key, doc_id) buckets
-       (~20 bytes/row; candidates ≪ C(n,2)).
+    2. ONE keyed exchange on a hash of ``band_key`` co-locates
+       (band_key, doc_id) buckets (~20 bytes/row; candidates ≪ C(n,2)).
     3. Buckets ≤ n_max pair up locally (vectorized triu); larger buckets
-       emit triangle-salted rows into a SECOND exchange that only runs
-       when a mega-bucket exists.
+       emit triangle-salted rows into a SECOND exchange, keyed on a hash
+       of (band_key, sa, sb), that only runs when a mega-bucket exists.
     4. Verify is budget-guarded: ≤ driver_max_pairs dedupes + verifies
        via one broadcast-filtered gather and a single vectorized
-       multi-pair jaccard; past the budget it falls back to a
-       distributed groupby dedup + two hash joins against the sketches.
+       multi-pair jaccard; past the budget it dedupes candidates through
+       the pair-keyed exchange of ``_count_pairs`` and verifies with two
+       hash joins against the sketches.
 
     Small-input fast path (same contract as ``rayutil.sized_groupby_agg``
     — forced-path parity tested): when the band table is driver-sized
     (≤ ``band_driver_rows`` rows of (band_key, doc_id) ≈ 20 bytes each)
     AND its estimated candidate count fits ``driver_max_pairs``, the
-    bucket grouping runs as ONE driver lexsort instead of the hash
-    repartition exchange — the exchange's fixed cost (aggregator actor
-    startup + push barrier) is seconds, far more than sorting a few MB.
+    bucket grouping runs as ONE driver lexsort instead of the keyed
+    exchange — the exchange's fixed cost (one split task per block, one
+    merge task per partition, a barrier) exceeds sorting a few MB.
     Web-scale inputs exceed the row budget and take the exchange path
     unchanged.
     """
-    from ray.data.aggregate import Count
+    from ..functions.hashing import fnv64_arrow, splitmix64
 
     docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     sketched = docs.map_batches(
-        _SketchBander,
-        fn_constructor_kwargs={"num_perm": num_perm, "n_bands": n_bands},
+        _SketchBander(num_perm=num_perm, n_bands=n_bands),
         batch_format="pyarrow",
-        concurrency=(1, 8),
     ).materialize()
     n_docs = sketched.count()
 
@@ -761,10 +816,25 @@ def dedup_minhash_lsh(
         # through to the salted exchange construction below.
 
     nparts = sized_partitions(n_docs * n_bands)
-    repart = (
-        sketched.map_batches(_explode_bands, batch_format="pyarrow")
-        .repartition(num_blocks=nparts, keys=["band_key"])
-        .materialize()
+
+    def band_rows(t: pa.Table) -> pa.Table:
+        b = _explode_bands(t)
+        return b.append_column(
+            "part", _hash_part(fnv64_arrow(b["band_key"]), nparts)
+        )
+
+    def salt_rows(t: pa.Table) -> pa.Table:
+        # "part" is each member's salt; the exchange key is "dest"
+        o = _overflow_salt_rows(t, n_max)
+        sa = np.asarray(o["sa"].to_numpy(zero_copy_only=False), np.uint64)
+        sb = np.asarray(o["sb"].to_numpy(zero_copy_only=False), np.uint64)
+        h = splitmix64(
+            fnv64_arrow(o["band_key"]) ^ splitmix64((sa << np.uint64(32)) | sb)
+        )
+        return o.append_column("dest", _hash_part(h, nparts))
+
+    repart = keyed_exchange(
+        sketched.map_batches(band_rows, batch_format="pyarrow"), "part", nparts
     )
     direct = repart.map_batches(
         lambda t: _direct_bucket_pairs(t, n_max),
@@ -772,17 +842,11 @@ def dedup_minhash_lsh(
         batch_size=None,
     )
     overflow = repart.map_batches(
-        lambda t: _overflow_salt_rows(t, n_max),
-        batch_format="pyarrow",
-        batch_size=None,
+        salt_rows, batch_format="pyarrow", batch_size=None
     ).materialize()
     if overflow.count():
-        salted = (
-            overflow.repartition(
-                num_blocks=nparts, keys=["band_key", "sa", "sb"]
-            ).map_batches(
-                _salted_segment_pairs, batch_format="pyarrow", batch_size=None
-            )
+        salted = keyed_exchange(overflow, "dest", nparts).map_batches(
+            _salted_segment_pairs, batch_format="pyarrow", batch_size=None
         )
         cands = direct.union(salted)
     else:
@@ -816,11 +880,7 @@ def dedup_minhash_lsh(
         )
         return _verify_pairs_driver(pairs, sketches, threshold)
 
-    deduped = (
-        cands.groupby(["doc_id1", "doc_id2"], num_partitions=shuffle_partitions())
-        .aggregate(Count(alias_name="_nb"))
-        .drop_columns(["_nb"])
-    )
+    deduped = _count_pairs(cands, shuffle_partitions(), "_nb").drop_columns(["_nb"])
     return _verify_pairs_join(deduped, sketches, threshold)
 
 
@@ -1138,15 +1198,20 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
     exchange row per distinct window, pairs formed within gram groups
     capped at ``n_max`` docs (stop-phrase groups are DROPPED — the
     frequent-span guard; the oracle applies the same HAVING bound),
-    then one keyed count-aggregation to (doc_id1, doc_id2,
-    shared_windows).
+    then one pair-keyed count to (doc_id1, doc_id2, shared_windows).
 
-    Scale shape: exchange rows ~ one per distinct window per doc
-    (bounded by tokens/doc); per-gram pair blowup bounded by n_max^2;
-    the final shuffle keys on the pair, so a mega-pair costs one
-    aggregation row. Docs shorter than ``window`` contribute their
-    whole text as a single gram (matching the fingerprint kernel)."""
+    Scale shape: two ``rayutil.keyed_exchange`` calls of plain tasks (no
+    actors): the first keys on ``gram % n``, so every gram group meets
+    in one partition; the second keys on a hash of the pair, and each
+    partition counts its pairs with one pyarrow group_by (both exchanges
+    run when this is called; the returned count map is lazy). Exchange rows
+    ~ one per distinct window per doc (bounded by tokens/doc); per-gram
+    pair blowup bounded by n_max^2; a mega-pair costs one count row.
+    Docs shorter than ``window`` contribute their whole text as a
+    single gram (matching the fingerprint kernel)."""
     from ..functions.hashing import md5_u64_array
+
+    nparts = shuffle_partitions()
 
     def emit_grams(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
@@ -1177,6 +1242,7 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
             {
                 "gram": pa.array(hs[keep], pa.uint64()),
                 "doc_id": pa.array(ids[ds_[keep]], pa.int64()),
+                "part": _hash_part(hs[keep], nparts),
             }
         )
 
@@ -1200,12 +1266,7 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
                     o1.append(seg[ii])
                     o2.append(seg[jj])
         if not o1:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id1": pa.array([], pa.int64()),
-                    "doc_id2": pa.array([], pa.int64()),
-                }
-            )
+            return _EMPTY_PAIRS
         return pa.Table.from_pydict(
             {
                 "doc_id1": pa.array(np.concatenate(o1), pa.int64()),
@@ -1213,25 +1274,17 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
             }
         )
 
-    def rename(t: pa.Table) -> pa.Table:
-        cnt = t["count()"] if "count()" in t.column_names else t["count"]
-        return pa.Table.from_pydict(
-            {
-                "doc_id1": t["doc_id1"],
-                "doc_id2": t["doc_id2"],
-                "shared_windows": cnt.cast(pa.int64()),
-            }
-        )
-
-    return (
-        _read_documents(sf_dir, ["doc_id", "text"])
-        .map_batches(emit_grams, batch_format="pyarrow")
-        .repartition(num_blocks=shuffle_partitions(), keys=["gram"])
-        .map_batches(gram_group_pairs, batch_format="pyarrow", batch_size=None)
-        .groupby(["doc_id1", "doc_id2"], num_partitions=shuffle_partitions())
-        .count()
-        .map_batches(rename, batch_format="pyarrow")
+    grams = keyed_exchange(
+        _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+            emit_grams, batch_format="pyarrow"
+        ),
+        "part",
+        nparts,
     )
+    pairs = grams.map_batches(
+        gram_group_pairs, batch_format="pyarrow", batch_size=None
+    )
+    return _count_pairs(pairs, nparts, "shared_windows")
 
 
 def decontaminate(sf_dir: str, benchmark_texts, window: int = 8):

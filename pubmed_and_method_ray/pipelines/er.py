@@ -66,8 +66,14 @@ def train_pairwise_model(features_ds, seed: int = 42) -> str:
     """Driver-side GBT fit on the (small) labeled feature set — the
     reference trains on <60k labeled pairs (BASELINE.md), so collecting
     to the driver matches its scale contract; scoring stays distributed.
-    Returns the serialized model JSON."""
-    df = features_ds.select_columns(FEATURE_NAMES + ["label"]).to_pandas()
+    Rows are sorted by (url_1, url_2) before the fit, since the dataset's
+    row order is not fixed and the fit depends on it. Returns the
+    serialized model JSON."""
+    df = (
+        features_ds.select_columns(["url_1", "url_2"] + FEATURE_NAMES + ["label"])
+        .to_pandas()
+        .sort_values(["url_1", "url_2"], kind="stable")
+    )
     X = df[FEATURE_NAMES].to_numpy(dtype=np.float64)
     y = df["label"].to_numpy(dtype=np.float64)
     model = GBTClassifier(n_estimators=60, learning_rate=0.2, max_depth=3)

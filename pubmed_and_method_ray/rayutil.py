@@ -144,11 +144,18 @@ def known_size(ds) -> tuple[int | None, int | None]:
 def _split_by_part(t, part_col: str, n_parts: int):
     """Split task of ``keyed_exchange``: one block -> ``n_parts`` slices,
     slice i holding exactly the rows whose ``part_col`` is i, in input
-    order (stable sort, then zero-copy slices of the sorted table)."""
+    order (stable sort, then zero-copy slices of the sorted table).
+
+    Ray skips a ``map_batches`` UDF on a 0-row block and hands on a
+    0-row block without columns, so an empty partition of an upstream
+    exchange reaches the next exchange without ``part_col``: such a
+    block splits into ``n_parts`` empty slices."""
     import numpy as np
     from ray.data.block import BlockAccessor
 
     t = BlockAccessor.for_block(t).to_arrow()
+    if t.num_rows == 0 and part_col not in t.column_names:
+        return [t] * n_parts if n_parts > 1 else t
     col = t[part_col]
     p = np.asarray(col.to_numpy(zero_copy_only=False))
     if col.null_count or (len(p) and (p.min() < 0 or p.max() >= n_parts)):
@@ -162,7 +169,8 @@ def _split_by_part(t, part_col: str, n_parts: int):
 
 def _merge_part(*slices):
     """Merge task of ``keyed_exchange``: one partition's slices from
-    every split task -> one contiguous block."""
+    every split task -> one contiguous block (a column-less empty slice
+    adds no rows and takes the other slices' schema)."""
     import pyarrow as pa
 
     return pa.concat_tables(slices, promote_options="default").combine_chunks()

@@ -193,8 +193,8 @@ class TestMinhashLsh:
         assert len(a) > 0
 
     def test_driver_band_path_matches_exchange_path(self, ray_session, tmp_path):
-        """The driver band fast path (one lexsort instead of the hash
-        repartition) is a pure execution strategy: identical output to
+        """The driver band fast path (one lexsort instead of the band
+        exchange) is a pure execution strategy: identical output to
         the forced exchange construction, including the over-pair-budget
         fall-through inside a small band table."""
         rng = np.random.default_rng(31)
@@ -252,3 +252,65 @@ class TestCanonicalDocs:
             drv.set_index("doc_id")["is_canonical"].to_dict()
             == {1: 1, 2: 0, 3: 0, 4: 1, 5: 0, 6: 1}
         )
+
+
+def _near_dup_rows():
+    """Five clusters of three near-copies plus unique docs, with repeated
+    8-token spans for shared-window dedup and one bucket wide enough to
+    be salted at n_max=2."""
+    rows = []
+    for c in range(5):
+        base = [f"tok{c}_{k}" for k in range(20)]
+        for m in range(3):
+            toks = list(base)
+            if m:
+                toks[m] = f"mut{c}_{m}"
+            rows.append({"doc_id": len(rows) + 1, "text": " ".join(toks)})
+    for i in range(6):
+        rows.append(
+            {"doc_id": len(rows) + 1, "text": " ".join(f"u{i}_{k}" for k in range(12))}
+        )
+    return rows
+
+
+def _window_rows(ds):
+    df = ds.to_pandas()
+    return sorted(
+        (int(a), int(b), int(c))
+        for a, b, c in zip(df["doc_id1"], df["doc_id2"], df["shared_windows"])
+    )
+
+
+class TestTaskExchanges:
+    def test_shared_window_and_lsh_start_no_actors(self, ray_session, tmp_path):
+        """Both dedup_docs operators run on plain tasks: no Ray actor
+        (shuffle aggregator, actor-pool worker) is created."""
+        import ray._private.state as ray_state
+        import ray.data as rd
+
+        sf = _write_docs(tmp_path, _near_dup_rows())
+        rd.range(4).materialize()  # Ray Data's own per-session actors
+        before = set(ray_state.actors())
+        assert len(_window_rows(dedup.dedup_shared_window(sf))) > 0
+        assert len(_got_pairs(dedup.dedup_minhash_lsh(sf))) > 0
+        assert set(ray_state.actors()) - before == set()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_do_not_depend_on_partition_count(
+        self, ray_session, tmp_path, monkeypatch, n
+    ):
+        """Every exchange of shared-window and forced-exchange LSH
+        (band, salted overflow, candidate dedup) gives the same rows for
+        1, 2 and 3 partitions."""
+        rows = _near_dup_rows()
+        sf = _write_docs(tmp_path, rows)
+        want_sw = _window_rows(dedup.dedup_shared_window(sf))
+        want_lsh = _got_pairs(dedup.dedup_minhash_lsh(sf))
+        assert want_sw and want_lsh
+        monkeypatch.setattr(dedup, "shuffle_partitions", lambda *a, **k: n)
+        monkeypatch.setattr(dedup, "sized_partitions", lambda *a, **k: n)
+        assert _window_rows(dedup.dedup_shared_window(sf)) == want_sw
+        got = dedup.dedup_minhash_lsh(
+            sf, n_max=2, band_driver_rows=0, driver_max_pairs=0
+        )
+        assert _got_pairs(got) == want_lsh

@@ -258,6 +258,38 @@ class TestKeyedExchange:
         ref = groups(_blocks(ds.repartition(num_blocks=n, keys=["part"])))
         assert ours == ref
 
+    def test_chained_exchanges_with_an_empty_partition(self):
+        """A map between two exchanges hands an empty partition on as a
+        0-row block without columns; the second exchange must take it
+        as n_parts empty slices, while bad values still raise."""
+        import numpy as np
+
+        from pubmed_and_method_ray.rayutil import _split_by_part, keyed_exchange
+
+        t = self._table(200, 6)  # even partition values only: 1, 3, 5 empty
+        first = keyed_exchange(rd.from_arrow([t.slice(0, 90), t.slice(90)]), "part", 6)
+        assert any(b.num_rows == 0 for b in _blocks(first))
+
+        def rekey(b):  # partition by x instead
+            return b.set_column(2, "part", pa.array(np.asarray(b["x"]) % 4, pa.int32()))
+
+        second = keyed_exchange(
+            first.map_batches(rekey, batch_format="pyarrow", batch_size=None), "part", 4
+        )
+        blocks = _blocks(second)
+        assert len(blocks) == 4
+        for i, b in enumerate(blocks):
+            assert b.schema == t.schema
+            assert [x % 4 for x in b["x"].to_pylist()] == [i] * b.num_rows
+        assert sorted(x for b in blocks for x in b["x"].to_pylist()) == list(range(200))
+
+        bare = pa.table({})
+        assert [s.num_rows for s in _split_by_part(bare, "part", 3)] == [0, 0, 0]
+        assert _split_by_part(bare, "part", 1).num_rows == 0
+        for bad in ([0, 3], [0, None], [-1]):
+            with pytest.raises(ValueError):
+                _split_by_part(pa.table({"part": pa.array(bad, pa.int32())}), "part", 3)
+
 
 class TestHeavyHostPacking:
     def test_lpt_pack_balances_quadratic_work(self):

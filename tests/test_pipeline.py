@@ -81,6 +81,29 @@ class TestEndToEnd:
         assert (a["url_1"] == b["url_1"]).all()
         assert np.allclose(a["score"], b["score"])
 
+    def test_training_ignores_block_order(self):
+        """The same labeled features in reversed block order train the
+        same model: the fit must not depend on the dataset's row order."""
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.pipelines.er import train_pairwise_model
+        from pubmed_and_method_ray.stages.features import FEATURE_NAMES
+
+        rng = np.random.default_rng(3)
+        n = 600
+        cols = {
+            "url_1": [f"http://h{i % 17}/a{i}" for i in range(n)],
+            "url_2": [f"http://h{i % 17}/b{i}" for i in range(n)],
+            "label": rng.integers(0, 2, n).astype(np.int8),
+        }
+        for f in FEATURE_NAMES:
+            cols[f] = rng.random(n).astype(np.float32)
+        t = pa.table(cols)
+        blocks = [t.slice(0, 150), t.slice(150, 250), t.slice(400)]
+        fwd = train_pairwise_model(rd.from_arrow(blocks))
+        rev = train_pairwise_model(rd.from_arrow(blocks[::-1]))
+        assert fwd == rev
+
 
 class TestGroupedSplit:
     def test_no_leakage_any_fold(self, result):
