@@ -20,7 +20,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-from ..functions.simhash import minhash_signature, simhash64
 from ..rayutil import (
     join_partitions,
     keyed_exchange,
@@ -36,6 +35,46 @@ def _read_documents(sf_dir: str, columns=None):
     from ..sources.io import read_parquet_sized
 
     return read_parquet_sized(f"{sf_dir}/documents.parquet", columns=columns)
+
+
+# -- token and gram hashes (the oracles' ``str_split(lower(text), ' ')``) --
+
+def _token_hashes(text) -> tuple[np.ndarray, np.ndarray]:
+    """Text column -> (flat md5_u64 token hashes, per-doc offsets). A
+    null text is ``""``, which splits to one empty token, so every doc
+    has >= 1 token. Lowering is Arrow's ``utf8_lower``, which agrees
+    with DuckDB's ``lower`` ('ΣΑΣ' -> 'σασ', where Python gives 'σας').
+    md5 runs once per DISTINCT token of the batch; md5_u64 equals
+    DuckDB's ``md5_number_upper``."""
+    import pyarrow.compute as pc
+
+    from ..functions.hashing import md5_u64_array
+
+    text = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
+    toks = pc.split_pattern(pc.utf8_lower(pc.fill_null(text, "")), pattern=" ")
+    offs = np.asarray(toks.offsets, dtype=np.int64)
+    enc = toks.values.slice(offs[0], offs[-1] - offs[0]).dictionary_encode()
+    th = md5_u64_array(enc.dictionary.to_pylist())
+    return th[np.asarray(enc.indices, dtype=np.int64)], offs - offs[0]
+
+
+def _doc_grams(text, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Text column -> (per-doc sorted-distinct k-gram hashes, flat
+    uint64; int64 doc offsets). A gram hash is the splitmix64 fold of
+    its k token hashes (h_0 = seed; h_j = sm64(h ^ th_j),
+    ``mention_prep._masked_gram_fold``); a doc with fewer than k tokens
+    folds all of them into ONE gram, so every doc has >= 1 gram. The
+    per-doc distinct step is one lexsort over the batch."""
+    from ..stages.mention_prep import _masked_gram_fold
+
+    th, offs = _token_hashes(text)
+    h, doc_of = _masked_gram_fold(th, offs, k, seed)
+    order = np.lexsort((h, doc_of))
+    hs, ds = h[order], doc_of[order]
+    keep = np.ones(len(hs), dtype=bool)
+    keep[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
+    lens = np.bincount(ds[keep], minlength=len(offs) - 1)
+    return hs[keep], np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
 
 
 # -- exact dedup (D2/D4 analog): hash-partition + per-group min ------------
@@ -249,29 +288,28 @@ class _SketchBander:
     """Task map (an instance holds three ints, so ``map_batches`` runs it
     as plain tasks): text -> ONE row per doc: (doc_id, sh, bands).
 
-    ``sh``: sorted-unique uint64 hashes of the doc's token 3-shingles as
-    raw LE bytes (binary because Acero hash joins reject list-typed
-    payloads). A shingle hash is a splitmix64 FOLD over the shingle's
-    per-token md5-u64 hashes (h_0 = 0x53; h_j = sm64(h ^ th_j)) — md5
-    runs once per DISTINCT token per batch and the fold is one
-    vectorized pass over all gram positions; the round-3 version built
-    Python string shingles and md5-hashed each distinct gram (the LSH
-    stage's hot loop). md5 for the TOKEN hashes keeps the construction
-    exactly reproducible in SQL (md5_number_upper + the splitmix64 CTE
-    machinery already used for the band keys). ``bands``: the n_bands
-    literal-signature band keys. Shingles, not unigram tokens: corpora
-    with a shared small vocabulary make every doc-pair's TOKEN jaccard
-    high (bucket explosion), while shingle sets are order-sensitive and
-    distinctive — the standard MMDS ch.3 construction.
+    ``sh``: the doc's sorted-distinct token 3-shingle hashes from
+    ``_doc_grams`` (fold seed 0x53) as raw LE bytes (binary because
+    Acero hash joins reject list-typed payloads). md5 token hashes and
+    the splitmix64 fold keep the construction exactly reproducible in
+    SQL (md5_number_upper + the splitmix64 CTEs of the DuckDB oracle).
+    Shingles, not unigram tokens: corpora with a shared small vocabulary
+    make every doc-pair's TOKEN jaccard high (bucket explosion), while
+    shingle sets are order-sensitive and distinctive — the standard
+    MMDS ch.3 construction.
+
+    ``bands``: the doc's n_bands band keys, each a
+    ``fixed_size_binary(8 * (rows + 1))`` value holding the band index
+    and then the band's ``rows`` signature words as raw LE uint64. Two keys are
+    equal exactly when the band index and every signature word are, so
+    bucketing on them introduces no hash collision.
 
     Fused sketch+banding: no payload column crosses an exchange —
     downstream ops explode/select from the materialized parent, and the
-    LSH exchange itself carries only (band_key, doc_id) (the round-2
-    version shipped each doc's full sketch once per band: 16x payload
-    amplification). Every step is batch-vectorized: tokenization via
-    pyarrow split_pattern, per-doc distinct grams via one lexsort, the
-    (grams x num_perm) minhash via one minimum.reduceat, band-key
-    strings via np.char over the signature matrix."""
+    LSH exchange itself carries only (band_key, doc_id). Every step is
+    batch-vectorized: the gram kernel, the (grams x num_perm) minhash
+    via ``minimum.reduceat``, and the band keys as one reshape of the
+    signature matrix."""
 
     SHINGLE_SEED = 0x53  # fold init; 83 in the SQL oracle
     MINHASH_SEED = 7  # seeds = sm64(arange(1..num_perm) * (seed+1))
@@ -282,60 +320,21 @@ class _SketchBander:
         self.shingle_k = shingle_k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        from ..functions.hashing import splitmix64
 
-        from ..functions.hashing import md5_u64_array, splitmix64
-
-        k, num_perm, n_bands = self.shingle_k, self.num_perm, self.n_bands
+        num_perm, n_bands = self.num_perm, self.n_bands
         rows = num_perm // n_bands
+        key_type = pa.binary(8 * (rows + 1))  # band index + rows words
         n_docs = t.num_rows
         if n_docs == 0:
             return pa.Table.from_pydict(
                 {
                     "doc_id": pa.array([], pa.int64()),
                     "sh": pa.array([], pa.large_binary()),
-                    "bands": pa.array([], pa.list_(pa.string())),
+                    "bands": pa.array([], pa.list_(key_type)),
                 }
             )
-        txt = t["text"]
-        txt = txt.combine_chunks() if isinstance(txt, pa.ChunkedArray) else txt
-        toks = pc.split_pattern(pc.utf8_lower(pc.fill_null(txt, "")), pattern=" ")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        offs = np.asarray(toks.offsets, dtype=np.int64)
-        flat_tok = toks.values.slice(offs[0], offs[-1] - offs[0])
-        offs = offs - offs[0]
-        # md5 once per DISTINCT token per batch
-        enc = flat_tok.dictionary_encode()
-        uniq_h = md5_u64_array(enc.dictionary.to_pylist())
-        th = uniq_h[np.asarray(enc.indices, dtype=np.int64)]
-
-        # gram positions: docs with n < k tokens get ONE gram folding all
-        # n tokens (token_shingles semantics); others n - k + 1 grams
-        n_tok = np.diff(offs)  # always >= 1 ("" splits to [""])
-        n_grams = np.maximum(n_tok - (k - 1), 1)
-        total_g = int(n_grams.sum())
-        g_off = np.concatenate([[0], np.cumsum(n_grams)]).astype(np.int64)
-        doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), n_grams)
-        start = np.repeat(offs[:-1], n_grams) + (
-            np.arange(total_g, dtype=np.int64) - np.repeat(g_off[:-1], n_grams)
-        )
-        end = np.repeat(offs[1:], n_grams)
-        h = splitmix64(th[start] ^ np.uint64(self.SHINGLE_SEED))
-        for j in range(1, k):
-            idx = start + j
-            valid = idx < end
-            nxt = splitmix64(h ^ th[np.minimum(idx, len(th) - 1)])
-            h = np.where(valid, nxt, h)
-
-        # sorted-distinct gram hashes per doc in ONE lexsort
-        order = np.lexsort((h, doc_of))
-        hs, ds = h[order], doc_of[order]
-        keep = np.empty(len(hs), dtype=bool)
-        keep[0] = True
-        keep[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
-        sh_flat = hs[keep]
-        lens = np.bincount(ds[keep], minlength=n_docs)
-        sh_off = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        sh_flat, sh_off = _doc_grams(t["text"], self.shingle_k, self.SHINGLE_SEED)
 
         # minhash for the WHOLE batch, one permutation COLUMN at a time:
         # a (grams x num_perm) rehash matrix is memory-bandwidth-bound
@@ -352,21 +351,18 @@ class _SketchBander:
                 splitmix64(sh_flat ^ seeds[p]), sh_off[:-1]
             )
 
-        # band keys "b{i}:v,v,v,v" via vectorized np.char over the matrix
-        sig_str = sig.astype("U20")
-        band_cols = []
-        for b in range(n_bands):
-            s = np.char.add(f"b{b}:", sig_str[:, b * rows])
-            for r in range(1, rows):
-                s = np.char.add(np.char.add(s, ","), sig_str[:, b * rows + r])
-            band_cols.append(s)
-        band_vals = np.stack(band_cols, axis=1).ravel()
+        # band keys: [band index, its rows signature words] per band
+        keys = np.empty((n_docs, n_bands, rows + 1), dtype=np.uint64)
+        keys[:, :, 0] = np.arange(n_bands, dtype=np.uint64)
+        keys[:, :, 1:] = sig[:, : n_bands * rows].reshape(n_docs, n_bands, rows)
         bands_arr = pa.ListArray.from_arrays(
             pa.array(
                 np.arange(0, (n_docs + 1) * n_bands, n_bands, dtype=np.int32),
                 pa.int32(),
             ),
-            pa.array(band_vals, pa.string()),
+            pa.FixedSizeBinaryArray.from_buffers(
+                key_type, n_docs * n_bands, [None, pa.py_buffer(keys.tobytes())]
+            ),
         )
         return pa.Table.from_pydict(
             {
@@ -375,6 +371,24 @@ class _SketchBander:
                 "bands": bands_arr,
             }
         )
+
+
+def _band_key_hash(keys) -> np.ndarray:
+    """Band keys -> uint64: a splitmix64 fold over each key's words, for
+    exchange partition ids (bucketing itself compares whole keys)."""
+    from ..functions.hashing import splitmix64
+
+    keys = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
+    n, nw = len(keys), keys.type.byte_width // 8
+    if n == 0:
+        return np.empty(0, np.uint64)
+    words = np.frombuffer(
+        keys.buffers()[1], dtype=np.uint64, count=(keys.offset + n) * nw
+    )[keys.offset * nw :].reshape(n, nw)
+    h = splitmix64(words[:, 0])
+    for j in range(1, nw):
+        h = splitmix64(h ^ words[:, j])
+    return h
 
 
 def _u64_rows_to_binary(off: np.ndarray, flat: np.ndarray) -> pa.Array:
@@ -528,7 +542,7 @@ def _overflow_salt_rows(t: pa.Table, n_max: int) -> pa.Table:
     never spins up."""
     empty = pa.Table.from_pydict(
         {
-            "band_key": pa.array([], pa.string()),
+            "band_key": pa.array([], t.schema.field("band_key").type),
             "sa": pa.array([], pa.int32()),
             "sb": pa.array([], pa.int32()),
             "part": pa.array([], pa.int32()),
@@ -748,7 +762,8 @@ def dedup_minhash_lsh(
     1. ONE fused task pass sketches + bands each doc (payloads stay in
        the materialized parent, never enter an exchange).
     2. ONE keyed exchange on a hash of ``band_key`` co-locates
-       (band_key, doc_id) buckets (~20 bytes/row; candidates ≪ C(n,2)).
+       (band_key, doc_id) buckets: 8 * (rows + 1) + 8 bytes a row, 48 at
+       the default 4 rows per band (candidates ≪ C(n,2)).
     3. Buckets ≤ n_max pair up locally (vectorized triu); larger buckets
        emit triangle-salted rows into a SECOND exchange, keyed on a hash
        of (band_key, sa, sb), that only runs when a mega-bucket exists.
@@ -760,15 +775,16 @@ def dedup_minhash_lsh(
 
     Small-input fast path (same contract as ``rayutil.sized_groupby_agg``
     — forced-path parity tested): when the band table is driver-sized
-    (≤ ``band_driver_rows`` rows of (band_key, doc_id) ≈ 20 bytes each)
-    AND its estimated candidate count fits ``driver_max_pairs``, the
-    bucket grouping runs as ONE driver lexsort instead of the keyed
-    exchange — the exchange's fixed cost (one split task per block, one
-    merge task per partition, a barrier) exceeds sorting a few MB.
+    (≤ ``band_driver_rows`` rows of (band_key, doc_id), 48 bytes each at
+    the defaults) AND its estimated candidate count fits
+    ``driver_max_pairs``, the bucket grouping runs as ONE driver sort
+    instead of the keyed exchange — the exchange's fixed cost (one split
+    task per block, one merge task per partition, a barrier) exceeds
+    sorting a few MB.
     Web-scale inputs exceed the row budget and take the exchange path
     unchanged.
     """
-    from ..functions.hashing import fnv64_arrow, splitmix64
+    from ..functions.hashing import splitmix64
 
     docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     sketched = docs.map_batches(
@@ -820,7 +836,7 @@ def dedup_minhash_lsh(
     def band_rows(t: pa.Table) -> pa.Table:
         b = _explode_bands(t)
         return b.append_column(
-            "part", _hash_part(fnv64_arrow(b["band_key"]), nparts)
+            "part", _hash_part(_band_key_hash(b["band_key"]), nparts)
         )
 
     def salt_rows(t: pa.Table) -> pa.Table:
@@ -829,7 +845,7 @@ def dedup_minhash_lsh(
         sa = np.asarray(o["sa"].to_numpy(zero_copy_only=False), np.uint64)
         sb = np.asarray(o["sb"].to_numpy(zero_copy_only=False), np.uint64)
         h = splitmix64(
-            fnv64_arrow(o["band_key"]) ^ splitmix64((sa << np.uint64(32)) | sb)
+            _band_key_hash(o["band_key"]) ^ splitmix64((sa << np.uint64(32)) | sb)
         )
         return o.append_column("dest", _hash_part(h, nparts))
 
@@ -1009,24 +1025,13 @@ def dedup_simhash(sf_dir: str):
     Output: (simhash_hex, n_docs, doc_ids csv sorted). Token hashes are
     md5_u64 (== DuckDB md5_number_upper) so the SQL oracle recomputes the
     same 64-bit sketch bit-for-bit."""
-    from ..functions.hashing import md5_u64_array
     from ..functions.simhash import simhash_from_hashes_segmented
 
     def add_simhash(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lst = pc.split_pattern(
-            pc.utf8_lower(pc.coalesce(t["text"], pa.scalar(""))), " "
-        )
-        if isinstance(lst, pa.ChunkedArray):
-            lst = lst.combine_chunks()
-        offs = np.asarray(lst.offsets, dtype=np.int64)
-        vals = lst.values.slice(offs[0], offs[-1] - offs[0])
-        # md5 per token occurrence is the oracle contract; the bit-vote
-        # itself is one segmented kernel over the whole batch.
-        sims = simhash_from_hashes_segmented(
-            md5_u64_array(vals.to_pylist()), offs - offs[0]
-        )
+        # every token occurrence votes (the oracle contract), with md5 run
+        # once per distinct token; the bit-vote itself is one segmented
+        # kernel over the whole batch.
+        sims = simhash_from_hashes_segmented(*_token_hashes(t["text"]))
         hs = [f"{int(v):016x}" for v in sims]
         return pa.Table.from_pydict(
             {"simhash": pa.array(hs, pa.string()), "doc_id": t["doc_id"]}
@@ -1188,61 +1193,43 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
     ).map_batches(group_pairs, batch_format="pyarrow", batch_size=None)
 
 
+# fold init of the shared-window and decontamination grams
+_WINDOW_SEED = 0x57
+
+
 def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
     """Exact shared-window near-dup pairs (Lee et al. 2021,
     "Deduplicating Training Data Makes Language Models Better": two docs
     sharing ANY exact ``window``-token span are near-duplicates): per
-    doc, the DISTINCT md5_u64 hashes of its token windows (the
-    doc_rolling_fingerprint gram contract, so the DuckDB oracle's
-    md5_number_upper reproduces them exactly), one (gram, doc_id)
-    exchange row per distinct window, pairs formed within gram groups
-    capped at ``n_max`` docs (stop-phrase groups are DROPPED — the
-    frequent-span guard; the oracle applies the same HAVING bound),
-    then one pair-keyed count to (doc_id1, doc_id2, shared_windows).
+    doc, the DISTINCT hashes of its token windows (``_doc_grams``: a
+    splitmix64 fold of the window's md5_u64 token hashes), one
+    (gram, doc_id) exchange row per distinct window, pairs formed within
+    gram groups capped at ``n_max`` docs (stop-phrase groups are
+    DROPPED — the frequent-span guard; the oracle applies the same
+    HAVING bound), then one pair-keyed count to (doc_id1, doc_id2,
+    shared_windows). Only window identity matters, so barring a 64-bit
+    hash collision the counts equal those of the DuckDB oracle, which
+    hashes the window strings.
 
     Scale shape: two ``rayutil.keyed_exchange`` calls of plain tasks (no
     actors): the first keys on ``gram % n``, so every gram group meets
     in one partition; the second keys on a hash of the pair, and each
     partition counts its pairs with one pyarrow group_by (both exchanges
-    run when this is called; the returned count map is lazy). Exchange rows
-    ~ one per distinct window per doc (bounded by tokens/doc); per-gram
-    pair blowup bounded by n_max^2; a mega-pair costs one count row.
-    Docs shorter than ``window`` contribute their whole text as a
-    single gram (matching the fingerprint kernel)."""
-    from ..functions.hashing import md5_u64_array
-
+    run when this is called; the returned count map is lazy). Exchange
+    rows ~ one per distinct window per doc (bounded by tokens/doc);
+    per-gram pair blowup bounded by n_max^2; a mega-pair costs one count
+    row. Docs shorter than ``window`` contribute their whole text as a
+    single gram."""
     nparts = shuffle_partitions()
 
     def emit_grams(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
+        grams, off = _doc_grams(t["text"], window, _WINDOW_SEED)
         ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        grams: list[str] = []
-        lens = np.empty(len(texts), dtype=np.int64)
-        for i, x in enumerate(texts):
-            toks = (x or "").lower().split(" ")
-            if len(toks) < window:
-                g = [" ".join(toks)] if toks else []
-            else:
-                g = [
-                    " ".join(toks[j : j + window])
-                    for j in range(len(toks) - window + 1)
-                ]
-            lens[i] = len(g)
-            grams.extend(g)
-        h = md5_u64_array(grams)
-        doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
-        # per-doc distinct windows in one global lexsort
-        order = np.lexsort((h, doc_of))
-        hs, ds_ = h[order], doc_of[order]
-        keep = np.empty(len(hs), dtype=bool)
-        if len(hs):
-            keep[0] = True
-            keep[1:] = (hs[1:] != hs[:-1]) | (ds_[1:] != ds_[:-1])
         return pa.Table.from_pydict(
             {
-                "gram": pa.array(hs[keep], pa.uint64()),
-                "doc_id": pa.array(ids[ds_[keep]], pa.int64()),
-                "part": _hash_part(hs[keep], nparts),
+                "gram": pa.array(grams, pa.uint64()),
+                "doc_id": pa.array(np.repeat(ids, np.diff(off)), pa.int64()),
+                "part": _hash_part(grams, nparts),
             }
         )
 
@@ -1291,65 +1278,30 @@ def decontaminate(sf_dir: str, benchmark_texts, window: int = 8):
     """Benchmark decontamination (the standard LLM-training-data step:
     drop corpus docs that contain any exact ``window``-token span of an
     evaluation benchmark — e.g. GPT-3 appendix C / Lee et al. 2021):
-    the benchmark's window grams are built ONCE with the same gram rule
-    as dedup_shared_window, broadcast as an Arrow value set, and each
-    doc is flagged with one vectorized ``is_in`` over its grams —
-    no shuffle at all; the benchmark side is small by definition.
-    Emits (doc_id, n_hits, contaminated) where n_hits counts DISTINCT
-    contaminated windows (set semantics, matching the oracle's
-    list_intersect)."""
-    import pyarrow.compute as pc
-
-    def _grams_of(text: str) -> list[str]:
-        toks = (text or "").lower().split(" ")
-        if len(toks) < window:
-            return [" ".join(toks)] if toks else []
-        return [
-            " ".join(toks[j : j + window])
-            for j in range(len(toks) - window + 1)
-        ]
-
+    the benchmark's window grams are built ONCE with dedup_shared_window's
+    gram kernel (``_doc_grams``) and broadcast as one sorted uint64
+    array; each batch of docs gets its per-doc distinct grams from the
+    same kernel and one vectorized ``isin`` — no shuffle at all; the
+    benchmark side is small by definition. Emits (doc_id, n_hits,
+    contaminated) where n_hits counts DISTINCT contaminated windows (set
+    semantics, matching the oracle's list_intersect)."""
     import ray
 
-    bench = sorted({g for t in benchmark_texts for g in _grams_of(t)})
+    bench, _ = _doc_grams(
+        pa.array(list(benchmark_texts), pa.string()), window, _WINDOW_SEED
+    )
     # one object-store copy, fetched once per worker — a closure capture
-    # would re-pickle the value set into every task
-    bench_ref = ray.put(pa.array(bench, pa.string()))
+    # would re-pickle the array into every task
+    bench_ref = ray.put(np.unique(bench))
 
     def flag(t: pa.Table) -> pa.Table:
         from ..stages.mention_prep import get_broadcast
 
-        bench_arr = get_broadcast(bench_ref)
-        texts = t["text"].to_pylist()
-        grams: list[str] = []
-        lens = np.empty(len(texts), dtype=np.int64)
-        for i, x in enumerate(texts):
-            g = _grams_of(x)
-            lens[i] = len(g)
-            grams.extend(g)
-        doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
-        hit = (
-            pc.is_in(pa.array(grams, pa.string()), value_set=bench_arr)
-            .to_numpy(zero_copy_only=False)
-            .astype(bool)
-        )
-        # distinct matched windows per doc: hits are rare, exact dedupe
-        # on the (doc, gram) pairs that matched
-        if hit.any():
-            from ..functions.hashing import md5_u64_array
-
-            hd = doc_of[hit]
-            hg = md5_u64_array([grams[k] for k in np.flatnonzero(hit)])
-            order = np.lexsort((hg, hd))
-            hd, hg = hd[order], hg[order]
-            keep = np.empty(len(hd), dtype=bool)
-            keep[0] = True
-            keep[1:] = (hd[1:] != hd[:-1]) | (hg[1:] != hg[:-1])
-            n_hits = np.bincount(hd[keep], minlength=len(texts)).astype(
-                np.int64
-            )
-        else:
-            n_hits = np.zeros(len(texts), dtype=np.int64)
+        grams, off = _doc_grams(t["text"], window, _WINDOW_SEED)
+        doc_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), np.diff(off))
+        n_hits = np.bincount(
+            doc_of[np.isin(grams, get_broadcast(bench_ref))], minlength=t.num_rows
+        ).astype(np.int64)
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],

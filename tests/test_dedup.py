@@ -314,3 +314,146 @@ class TestTaskExchanges:
             sf, n_max=2, band_driver_rows=0, driver_max_pairs=0
         )
         assert _got_pairs(got) == want_lsh
+
+
+def _windows(text, k):
+    """Brute-force window strings of ``str_split(lower(text), ' ')``."""
+    toks = (text or "").lower().split(" ")
+    if len(toks) < k:
+        return {" ".join(toks)}
+    return {" ".join(toks[j : j + k]) for j in range(len(toks) - k + 1)}
+
+
+# DuckDB's window construction, as in test_certified (8-token windows)
+_WINDOW_SQL = (
+    "WITH t AS (SELECT doc_id, str_split(lower(text), ' ') AS toks FROM {tab}), "
+    "g AS (SELECT doc_id, CASE WHEN len(toks) < 8 "
+    "THEN [array_to_string(toks, ' ')] "
+    "ELSE list_transform(generate_series(1, len(toks) - 7), "
+    "i -> array_to_string(toks[i:i+7], ' ')) END AS grams FROM t) "
+)
+
+
+class TestGramKernel:
+    def test_distinct_gram_count_matches_window_strings(self):
+        """Per doc, ``_doc_grams`` returns as many sorted-distinct gram
+        hashes as the doc has distinct window strings, for null, empty,
+        short and repetitive docs and several window sizes."""
+        rng = np.random.default_rng(5)
+        texts = [None, "", "a", "a a", "x  y", "A b A b A b A b A b"]
+        texts += [
+            " ".join(f"w{v}" for v in rng.integers(0, 4, rng.integers(1, 25)))
+            for _ in range(60)
+        ]
+        for k in (1, 2, 3, 8):
+            flat, off = dedup._doc_grams(pa.array(texts, pa.string()), k, 0x57)
+            assert off[0] == 0 and off[-1] == len(flat)
+            for i, text in enumerate(texts):
+                row = flat[off[i] : off[i + 1]]
+                assert len(row) == len(_windows(text, k)), (k, text)
+                assert np.all(row[1:] > row[:-1])
+        flat, off = dedup._doc_grams(pa.array([], pa.string()), 8, 0x57)
+        assert len(flat) == 0 and list(off) == [0]
+
+    def test_lowering_matches_duckdb(self, tmp_path):
+        """Docs that differ only by 'ΣΑΣ'/'σασ' (or 'İ'/'i') inside one
+        8-token window share that window under DuckDB's ``lower``, so
+        shared-window dedup pairs them and decontamination flags them,
+        exactly as the DuckDB constructions do."""
+        import duckdb
+
+        tail = "b c d e f g h"
+        rows = [
+            {"doc_id": 1, "text": f"ΣΑΣ {tail}"},
+            {"doc_id": 2, "text": f"σασ {tail}"},
+            {"doc_id": 3, "text": f"İ {tail} z"},
+            {"doc_id": 4, "text": f"i {tail} y"},
+            {"doc_id": 5, "text": "unrelated words only here"},
+        ]
+        sf = _write_docs(tmp_path, rows)
+        con = duckdb.connect()
+        con.execute(
+            f"CREATE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{sf}/documents.parquet')"
+        )
+        want_sw = sorted(
+            tuple(map(int, r))
+            for r in con.execute(
+                _WINDOW_SQL.format(tab="documents")
+                + ", h AS (SELECT DISTINCT doc_id, unnest(grams) AS gram FROM g) "
+                "SELECT a.doc_id, b.doc_id, count(*) FROM h a JOIN h b "
+                "USING (gram) WHERE a.doc_id < b.doc_id GROUP BY 1, 2"
+            ).fetchall()
+        )
+        assert want_sw == [(1, 2, 1), (3, 4, 1)]
+        assert _window_rows(dedup.dedup_shared_window(sf)) == want_sw
+
+        bench = [f"σασ {tail}", f"i {tail}"]
+        con.register("bench", pa.table({"doc_id": [0, 1], "text": bench}))
+        want_dc = {
+            int(d): int(n)
+            for d, n in con.execute(
+                _WINDOW_SQL.format(tab="documents")
+                + ", b AS (SELECT list_distinct(flatten(list(grams))) AS bg "
+                "FROM (" + _WINDOW_SQL.format(tab="bench") + "SELECT * FROM g)) "
+                "SELECT doc_id, len(list_intersect(list_distinct(grams), bg)) "
+                "FROM g, b"
+            ).fetchall()
+        }
+        assert want_dc == {1: 1, 2: 1, 3: 1, 4: 1, 5: 0}
+        got = dedup.decontaminate(sf, bench).to_pandas()
+        assert dict(zip(got["doc_id"], got["n_hits"])) == want_dc
+        assert (got["contaminated"] == (got["n_hits"] > 0)).all()
+
+
+class TestBandKeys:
+    def _sketch(self):
+        rows = _near_dup_rows()
+        rows += [dict(r, doc_id=r["doc_id"] + 100) for r in rows[:6]]
+        return dedup._SketchBander()(
+            pa.table(
+                {
+                    "doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
+                    "text": [r["text"] for r in rows],
+                }
+            )
+        )
+
+    def test_binary_keys_group_like_signature_strings(self):
+        """Bucketing on the binary band keys groups docs exactly as the
+        ``"b{i}:v,v,v,v"`` strings of the signature (recomputed here from
+        each doc's gram hashes) do."""
+        from pubmed_and_method_ray.functions.hashing import splitmix64
+
+        sk = self._sketch()
+        off, vals = dedup._binary_to_u64_rows(sk["sh"])
+        seeds = splitmix64(np.arange(1, 65, dtype=np.uint64) * np.uint64(8))
+        want = {}
+        for i, doc in enumerate(sk["doc_id"].to_pylist()):
+            grams = vals[off[i] : off[i + 1]]
+            sig = [int(splitmix64(grams ^ s).min()) for s in seeds]
+            for b in range(16):
+                key = f"b{b}:" + ",".join(map(str, sig[4 * b : 4 * b + 4]))
+                want.setdefault(key, set()).add(doc)
+
+        bands = dedup._explode_bands(sk)
+        assert bands.schema.field("band_key").type == pa.binary(40)
+        got = {}
+        for key, doc in zip(bands["band_key"].to_pylist(), bands["doc_id"].to_pylist()):
+            got.setdefault(key, set()).add(doc)
+        assert sorted(map(sorted, got.values())) == sorted(map(sorted, want.values()))
+        assert max(len(g) for g in got.values()) >= 2  # planted copies meet
+
+    def test_one_schema_on_empty_and_non_empty_input(self):
+        empty = pa.table(
+            {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
+        )
+        sk, sk0 = self._sketch(), dedup._SketchBander()(empty)
+        assert sk0.num_rows == 0 and sk0.schema == sk.schema
+        bands, bands0 = dedup._explode_bands(sk), dedup._explode_bands(sk0)
+        salted = dedup._overflow_salt_rows(bands, n_max=1)
+        salted0 = dedup._overflow_salt_rows(bands0, n_max=1)
+        assert salted.num_rows > 0 and salted0.num_rows == 0
+        assert salted0.schema == salted.schema
+        # buckets within n_max emit no salt rows, with the same schema
+        assert dedup._overflow_salt_rows(bands, n_max=10**6).schema == salted.schema
