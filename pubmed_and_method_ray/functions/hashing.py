@@ -76,13 +76,17 @@ def splitmix64(x: np.ndarray | int):
 
 
 def hash64_array(strings, seed: int = 0) -> np.ndarray:
-    """Stable 64-bit hashes for an iterable of strings -> uint64 ndarray."""
-    key = seed.to_bytes(8, "little")
-    out = np.empty(len(strings), dtype=np.uint64)
-    for i, s in enumerate(strings):
-        h = hashlib.blake2b(s.encode("utf-8"), digest_size=8, key=key)
-        out[i] = int.from_bytes(h.digest(), "little")
-    return out
+    """Stable 64-bit hashes for an iterable of strings -> uint64 ndarray:
+    the little-endian keyed blake2b-64 digest of each string's utf-8
+    bytes. The keyed state is set up once and copied per string."""
+    base = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+
+    def digest(s: str) -> bytes:
+        h = base.copy()
+        h.update(s.encode("utf-8"))
+        return h.digest()
+
+    return np.frombuffer(b"".join(map(digest, strings)), dtype="<u8").astype(np.uint64)
 
 
 _FNV_BASIS = 0xCBF29CE484222325

@@ -146,6 +146,8 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         as SEPARATE (lang, source, sa, sb) exchange-key columns — no
         delimiter-joined group string, so values containing '|' cannot
         collide distinct blocks."""
+        import pyarrow.compute as pc
+
         from ..stages.features import gather_list_rows
         from ..stages.mention_prep import get_broadcast
 
@@ -153,12 +155,10 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         langs = t["lang"].to_pylist()
         srcs = t["source"].to_pylist()
-        texts = t["text"].to_pylist()
+        # Arrow's utf8_lower, as the oracle's lower() ('ΣΑΣ' -> 'σασ')
+        texts = pc.utf8_lower(pc.fill_null(t["text"], "")).to_pylist()
         n = len(ids)
-        toks = [
-            np.unique(hash64_array((x or "").lower().split(" "), seed=0x7A))
-            for x in texts
-        ]
+        toks = [np.unique(hash64_array(x.split(" "), seed=0x7A)) for x in texts]
         S = np.fromiter(
             (max(1, math.ceil(sz[(l, s)] / n_max)) for l, s in zip(langs, srcs)),
             dtype=np.int64,

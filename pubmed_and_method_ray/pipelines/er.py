@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.gbt import GBTClassifier
 from ..functions.metrics import (
@@ -23,6 +25,7 @@ from ..functions.metrics import (
     cluster_full_gold_metrics,
     cluster_pairwise_metrics,
 )
+from ..rayutil import known_size, sized_groupby_agg
 from ..sources import checkpoint as ckpt
 from ..stages.blocking import generate_pair_features
 from ..stages.cluster import assign_clusters
@@ -81,6 +84,53 @@ def train_pairwise_model(features_ds, seed: int = 42) -> str:
     return model.to_json()
 
 
+_DISTINCT_BUDGET_BYTES = 32 << 20  # as sized_groupby_agg's driver budget
+
+
+def _stage_counters(name: str, threshold: float):
+    """Golden per-stage counts (the reference asserts stage cardinalities
+    after every SQL step, database/pubmed_inner_outer_feature.sql:106-108)
+    as ``ckpt.checkpoint``'s ``(partial, merge)``. A write task returns
+    counts and sums, and each distinct column's unique values or, above
+    its cap, None: then ``sized_groupby_agg`` counts it over the
+    read-back. Task i's cap is budget / (2 (i+1)^2): with any task count
+    a counter's values total at most pi^2/12 of ``_DISTINCT_BUDGET_BYTES``."""
+    budget = _DISTINCT_BUDGET_BYTES
+    rows_key, sums, distincts = {
+        "mentions": ("mentions", {}, {"distinct_hosts": "host"}),
+        "features": ("pairs", {"gold_pairs": lambda t: t["label"]}, {}),
+        # ``>`` as in edges_from_scores: the edges CC clusters on
+        "scored": (
+            "pairs", {"match_edges": lambda t: pc.greater(t["score"], threshold)}, {}
+        ),
+        "clusters": ("nodes", {}, {"clusters": "cluster_id"}),
+    }[name]
+
+    def partial(t, task_idx):
+        out = {rows_key: t.num_rows}
+        out.update((k, pc.sum(fn(t)).as_py() or 0) for k, fn in sums.items())
+        cap = budget // (2 * (task_idx + 1) ** 2)
+        for k, col in distincts.items():
+            u = pc.unique(t[col])
+            out[k] = u if u.nbytes <= cap else None
+        return out
+
+    def merge(parts, read):
+        out = {k: sum(p[k] for p in parts) for k in (rows_key, *sums)}
+        for k, col in distincts.items():
+            vals = [p[k] for p in parts]
+            if any(v is None for v in vals):
+                ds = read()
+                out[k] = sized_groupby_agg(
+                    ds.select_columns([col]), [col], [], n_bytes=known_size(ds)[1]
+                ).count()
+            else:
+                out[k] = len(pc.unique(pa.chunked_array(vals))) if vals else 0
+        return out
+
+    return partial, merge
+
+
 def run_er_pipeline(
     pages_ds,
     model_json: str | None = None,
@@ -125,67 +175,6 @@ def run_er_pipeline(
         "clusters": fp_clusters,
     }
 
-    def _distinct(ds, col):
-        # driver merge under sized_groupby_agg's budget, its hash
-        # exchange above it; the read-back's size is footer metadata
-        from ..rayutil import known_size, sized_groupby_agg
-
-        return sized_groupby_agg(
-            ds.select_columns([col]), [col], [], n_bytes=known_size(ds)[1]
-        ).count()
-
-    def _total(ds, col, fn):
-        """sum over batches of ``fn(batch[col])``: one partial per batch,
-        added up on the driver (state bounded by the block count, no
-        aggregate exchange)."""
-        import pyarrow as pa
-
-        parts = ds.select_columns([col]).map_batches(
-            lambda b: pa.table({"n": pa.array([fn(b[col]) or 0], pa.int64())}),
-            batch_format="pyarrow",
-        )
-        return sum(
-            sum(b["n"].to_pylist())
-            for b in parts.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-
-    def _stage_counters(name):
-        """Golden per-stage counts recorded in the checkpoint manifest —
-        the reference asserts stage cardinalities after every SQL step
-        (database/pubmed_inner_outer_feature.sql:106-108); here they ride
-        in the manifest so a resumed run can re-assert them without
-        recomputing the stage. Computed from the just-written files
-        (checkpoint-time only, never on the streaming path): row counts
-        are footer metadata, sums are per-batch partials, distincts go
-        through the budget-guarded groupby."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        if name == "mentions":
-            return lambda ds: {
-                "mentions": ds.count(),
-                "distinct_hosts": _distinct(ds, "host"),
-            }
-        if name == "features":
-            return lambda ds: {
-                "pairs": ds.count(),
-                "gold_pairs": _total(ds, "label", lambda c: pc.sum(c).as_py()),
-            }
-        if name == "scored":
-            at = pa.scalar(float(threshold))
-            return lambda ds: {
-                "pairs": ds.count(),
-                "match_edges": _total(
-                    ds, "score", lambda c: pc.sum(pc.greater_equal(c, at)).as_py()
-                ),
-            }
-        if name == "clusters":
-            return lambda ds: {
-                "nodes": ds.count(),
-                "clusters": _distinct(ds, "cluster_id"),
-            }
-        return None
-
     def persist(build, name):
         """Break lineage once per stage: Parquet checkpoint (resumable)
         when workdir is set, else pin in the object store. ``build()``
@@ -197,7 +186,7 @@ def run_er_pipeline(
             fp = stage_fps[name]
             ds = None if ckpt.is_complete(stage_dir, fp) else build()
             return ckpt.checkpoint(
-                ds, stage_dir, name, fp, counters_fn=_stage_counters(name)
+                ds, stage_dir, name, fp, summary=_stage_counters(name, threshold)
             )
         return build().materialize()
 
@@ -263,15 +252,17 @@ def run_er_pipeline(
     out = {"clusters": clusters, "scored": scored, "model_json": model_json}
 
     if evaluate and keep_gold:
-        # pairwise metrics at threshold (reference metric.py semantics)
-        sdf = scored.select_columns(["label", "score"]).to_pandas()
+        # one read of scored: pairwise metrics at threshold (reference
+        # metric.py semantics) and the candidate-conditional
+        # co-membership metrics (scored pairs only)
+        # reindex: Ray makes a Dataset without rows a frame without columns
+        cols = ["url_1", "url_2", "label", "score"]
+        sdf = scored.select_columns(cols).to_pandas().reindex(columns=cols)
         out["pair_metrics"] = calc_metrics(sdf["label"], sdf["score"], prob=threshold)
         cdf = clusters.to_pandas()
         cluster_of = dict(zip(cdf["url"], cdf["cluster_id"]))
-        # candidate-conditional co-membership metrics (scored pairs only)
-        pdf = scored.select_columns(["url_1", "url_2", "label"]).to_pandas()
         out["cluster_metrics_candidates"] = cluster_pairwise_metrics(
-            zip(pdf["url_1"], pdf["url_2"], pdf["label"]), cluster_of
+            zip(sdf["url_1"], sdf["url_2"], sdf["label"]), cluster_of
         )
         # FULL-gold-pair metrics: every gold co-entity pair counts, even
         # ones blocking never surfaced — a recall miss in blocking shows

@@ -13,6 +13,7 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..rayutil import join_partitions, shuffle_partitions
 
@@ -271,14 +272,20 @@ def lang_id(sf_dir: str):
     )
 
 
+def _lowered(text) -> list:
+    """Text column as Python strings lowered by Arrow's ``utf8_lower``,
+    which agrees with DuckDB's ``lower`` ('ΣΑΣ' -> 'σασ', where Python
+    gives 'σας'); a null text is ""."""
+    return pc.utf8_lower(pc.fill_null(text, "")).to_pylist()
+
+
 def doc_fingerprint(sf_dir: str):
     """(doc_id, fp): md5 of lowered text — exact content fingerprint
     (oracle: md5(lower(text)))."""
 
     def f(t: pa.Table) -> pa.Table:
         fps = [
-            hashlib.md5((x or "").lower().encode("utf-8")).hexdigest()
-            for x in t["text"].to_pylist()
+            hashlib.md5(x.encode("utf-8")).hexdigest() for x in _lowered(t["text"])
         ]
         return pa.Table.from_pydict(
             {"doc_id": t["doc_id"], "fp": pa.array(fps, pa.string())}
@@ -496,8 +503,7 @@ def doc_rolling_fingerprint(sf_dir: str, window: int = 8):
 
     def f(t: pa.Table) -> pa.Table:
         out, fps = [], []
-        for x in t["text"].to_pylist():
-            lowered = (x or "").lower()
+        for lowered in _lowered(t["text"]):
             fps.append(hashlib.md5(lowered.encode("utf-8")).hexdigest())
             toks = lowered.split(" ")
             if len(toks) < window:

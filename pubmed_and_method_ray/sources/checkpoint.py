@@ -11,18 +11,24 @@ atomic: tmp dir then ``os.replace``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import time
+import uuid
+
+import pyarrow as pa
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
+from ray.data import Datasink
+from ray.data.block import BlockAccessor
 
 MANIFEST = "_manifest.json"
 
 
 def fingerprint(*parts) -> str:
     """Stable fingerprint of stage inputs (paths, params, versions)."""
-    import hashlib
-
     h = hashlib.blake2b(digest_size=16)
     for p in parts:
         h.update(repr(p).encode("utf-8"))
@@ -33,8 +39,6 @@ def fingerprint(*parts) -> str:
 def content_digest(data: bytes) -> str:
     """Short content hash for fingerprinting large inputs (model JSON,
     idf vector bytes) whose ``repr`` would be huge or truncated."""
-    import hashlib
-
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
@@ -44,11 +48,6 @@ def input_identity(ds) -> tuple:
     place invalidates the checkpoints built from it. An input without
     source files (in-memory data) or with one that cannot be inspected
     gets a fresh token per call: it never resumes a checkpoint."""
-    import uuid
-
-    import pyarrow.fs as pafs
-    import pyarrow.parquet as pq
-
     try:
         ident = []
         for path in sorted(ds.input_files()):
@@ -78,73 +77,82 @@ def is_complete(stage_dir: str, fp: str) -> bool:
             m = json.load(f)
         if m.get("fingerprint") != fp or not m.get("complete", False):
             return False
-        import pyarrow.parquet as pq
-
-        for fname, nrows in m.get("files", {}).items():
-            path = os.path.join(stage_dir, fname)
-            if not os.path.exists(path):
-                return False
-            if pq.read_metadata(path).num_rows != nrows:
-                return False
-        return True
-    except Exception:
+        return all(
+            pq.read_metadata(os.path.join(stage_dir, f)).num_rows == n
+            for f, n in m.get("files", {}).items()
+        )
+    except Exception:  # a missing or unreadable file included
         return False
 
 
-def checkpoint(
-    ds,
-    stage_dir: str,
-    stage_name: str,
-    fp: str,
-    counters: dict | None = None,
-    counters_fn=None,
-):
+class _StageSink(Datasink):
+    """``checkpoint``'s writer: each write task writes its blocks to ONE
+    parquet file and returns (file, rows, ``partial(table, task_idx)``,
+    schema); a task without rows writes no file (file None)."""
+
+    def __init__(self, path: str, partial):
+        self.path, self.partial, self.written = path, partial, None
+
+    def write(self, blocks, ctx):
+        # Ray hands on 0-row blocks without columns: they carry nothing
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_columns]
+        if not tables:
+            return None
+        t = pa.concat_tables(tables, promote_options="default")
+        name = f"{ctx.task_idx:06d}.parquet" if t.num_rows else None
+        if name:
+            pq.write_table(t, os.path.join(self.path, name))
+        return name, t.num_rows, self.partial(t, ctx.task_idx), t.schema
+
+    def on_write_complete(self, write_result):
+        self.written = [r for r in write_result.write_returns if r]
+
+
+def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
     """Write ``ds`` to ``stage_dir`` (atomic) with a lineage manifest and
     return a Dataset reading it back. If a complete checkpoint with the
     same fingerprint exists, skip the write and just read; ``ds`` is not
     touched then, so a caller that has checked ``is_complete`` may pass
     None instead of building the stage.
 
-    ``counters_fn(read_back_ds) -> dict`` computes stage-semantic golden
-    counts (the reference's count-assertion philosophy,
-    database/pubmed_inner_outer_feature.sql:106-108) from the
-    just-written files — merged into the manifest's ``counters`` before
-    the atomic rename, so a resumed run can assert them without
-    recomputing the stage.
-    """
-    import ray.data as rd
-
+    The manifest's files, rows and counters come back from the write
+    tasks; nothing re-reads the files for them. ``summary = (partial,
+    merge)`` adds golden counters a resumed run can assert: write task
+    i returns ``partial(table, i)`` (small in all; i is unique), and the
+    driver calls ``merge(partials, read) -> dict``, partials in no fixed
+    order; ``read()`` reads the written files, for what partials cannot
+    count. A stage without rows is one 0-row file with its schema."""
     from .io import read_parquet_clean
 
     if is_complete(stage_dir, fp):
         return read_parquet_clean(stage_dir, file_extensions=["parquet"])
 
     tmp_dir = stage_dir + ".tmp"
-    if os.path.exists(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    os.makedirs(tmp_dir, exist_ok=True)
-    ds.write_parquet(tmp_dir)
-
-    files = sorted(f for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
-    import pyarrow.parquet as pq
-
-    per_file = {f: pq.read_metadata(os.path.join(tmp_dir, f)).num_rows for f in files}
-    if counters_fn is not None:
-        extra = counters_fn(read_parquet_clean(tmp_dir, file_extensions=["parquet"]))
-        counters = {**(counters or {}), **{k: int(v) for k, v in extra.items()}}
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    os.makedirs(tmp_dir)
+    partial, merge = summary or (lambda t, i: None, None)
+    sink = _StageSink(tmp_dir, partial)
+    ds.write_datasink(sink)
+    files = {name: n for name, n, _, _ in sink.written if name}
+    if not files:
+        schema = sink.written[0][3] if sink.written else pa.schema([])
+        pq.write_table(schema.empty_table(), os.path.join(tmp_dir, "empty.parquet"))
+        files = {"empty.parquet": 0}
+    parts = [part for _, _, part, _ in sink.written]
+    counters = merge(parts, lambda: read_parquet_clean(tmp_dir)) if merge else {}
     man = {
         "stage": stage_name,
         "fingerprint": fp,
-        "rows": int(sum(per_file.values())),
-        "files": per_file,
-        "counters": counters or {},
+        "rows": sum(files.values()),
+        "files": dict(sorted(files.items())),
+        "counters": {k: int(v) for k, v in counters.items()},
         "written_at": time.time(),
         "complete": True,
     }
-    with open(os.path.join(tmp_dir, MANIFEST), "w") as f:
+    with open(manifest_path(tmp_dir), "w") as f:
         json.dump(man, f, indent=1)
-    if os.path.exists(stage_dir):
-        shutil.rmtree(stage_dir)
+    shutil.rmtree(stage_dir, ignore_errors=True)
     os.replace(tmp_dir, stage_dir)
     return read_parquet_clean(stage_dir, file_extensions=["parquet"])
 

@@ -176,7 +176,7 @@ def _masked_gram_fold(vals: np.ndarray, offs: np.ndarray, k: int, seed: int):
     n_docs = len(n)
     m = len(vals) - k + 1
     if m > 0:
-        h_all = splitmix64(vals[:m] ^ np.uint64(seed))
+        h_all = splitmix64(vals[:m].astype(np.uint64, copy=False) ^ np.uint64(seed))
         for j in range(1, k):
             h_all = splitmix64(h_all ^ vals[j : m + j])
         full = np.maximum(n - (k - 1), 0)
@@ -194,7 +194,7 @@ def _masked_gram_fold(vals: np.ndarray, offs: np.ndarray, k: int, seed: int):
     shorts = np.flatnonzero((n > 0) & (n < k))
     if len(shorts):
         sh_n = n[shorts]
-        h_s = splitmix64(vals[offs[shorts]] ^ np.uint64(seed))
+        h_s = splitmix64(vals[offs[shorts]].astype(np.uint64) ^ np.uint64(seed))
         guard = len(vals) - 1
         for j in range(1, k - 1):
             idx = offs[shorts] + j
@@ -208,8 +208,8 @@ def _masked_gram_fold(vals: np.ndarray, offs: np.ndarray, k: int, seed: int):
 
 
 def _string_bytes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(uint64 byte values, int64 offsets) view of a string array's
-    utf-8 data buffer — zero-copy except the uint64 upcast."""
+    """(uint8 byte values, int64 offsets) view of a string array's
+    utf-8 data buffer — zero-copy."""
     arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
     bufs = arr.buffers()
     width = np.int64 if arr.type in (pa.large_string(), pa.large_utf8()) else np.int32
@@ -217,9 +217,8 @@ def _string_bytes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
         arr.offset : arr.offset + len(arr) + 1
     ].astype(np.int64)
     if bufs[2] is None or len(bufs[2]) == 0:
-        return np.empty(0, np.uint64), boffs - boffs[0]
-    data = np.frombuffer(bufs[2], dtype=np.uint8)[boffs[0] : boffs[-1]]
-    return data.astype(np.uint64), boffs - boffs[0]
+        return np.empty(0, np.uint8), boffs - boffs[0]
+    return np.frombuffer(bufs[2], dtype=np.uint8)[boffs[0] : boffs[-1]], boffs - boffs[0]
 
 
 def normalize_batch(batch: pa.Table, idf_ref=None) -> pa.Table:
@@ -299,9 +298,7 @@ def normalize_batch(batch: pa.Table, idf_ref=None) -> pa.Table:
         b_flat, b_offs = _string_bytes(pc.utf8_lower(txt_a.slice(0, n_ascii)))
         if n_ascii < n_docs:
             extra = [
-                np.frombuffer(s.lower().encode("utf-8"), dtype=np.uint8).astype(
-                    np.uint64
-                )
+                np.frombuffer(s.lower().encode("utf-8"), dtype=np.uint8)
                 for s in txt_a.slice(n_ascii).to_pylist()
             ]
             base = b_offs[-1]
@@ -309,10 +306,9 @@ def normalize_batch(batch: pa.Table, idf_ref=None) -> pa.Table:
             b_flat = np.concatenate([b_flat] + extra)
             b_offs = np.concatenate([b_offs, base + np.cumsum(lens)])
         g_all, g_doc = _masked_gram_fold(b_flat, b_offs, _NGRAM_N, _NGRAM_SEED)
-        g_idx = (g_all % np.uint64(N_FEATURES)).astype(np.int64)
-        # per-doc unique + multiplicity in one global sort
-        # (N_FEATURES = 2^16, so doc << 17 never collides)
-        key = (g_doc << 17) | g_idx
+        # per-doc unique + multiplicity in one global sort of
+        # doc << 16 | idx (idx < N_FEATURES = 2^16)
+        key = (g_doc.astype(np.uint64) << np.uint64(16)) | (g_all % np.uint64(N_FEATURES))
         ks = np.sort(key)
         bound = np.empty(len(ks), dtype=bool)
         if len(ks):
@@ -321,8 +317,8 @@ def normalize_batch(batch: pa.Table, idf_ref=None) -> pa.Table:
         run_starts = np.flatnonzero(bound)
         run_counts = np.diff(np.concatenate([run_starts, [len(ks)]]))
         ku = ks[bound]
-        u_doc = (ku >> 17).astype(np.int64)
-        u_idx32 = (ku & ((1 << 17) - 1)).astype(np.uint32)
+        u_doc = (ku >> np.uint64(16)).astype(np.int64)
+        u_idx32 = (ku & np.uint64(0xFFFF)).astype(np.uint32)
         u_lens = np.bincount(u_doc, minlength=n_docs)
         u_offs = np.concatenate([[0], np.cumsum(u_lens)]).astype(np.int64)
         # tf saturates at 2^16-1 so the count rides in tfidf_pk's upper

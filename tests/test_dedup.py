@@ -406,6 +406,43 @@ class TestGramKernel:
         assert (got["contaminated"] == (got["n_hits"] > 0)).all()
 
 
+class TestArrowLowering:
+    def test_sigma_docs_match_duckdb(self, ray_session, tmp_path):
+        """'ΣΑΣ b' and 'σασ b' lower to the same text under DuckDB's
+        ``lower`` (Python's ``str.lower`` gives 'σας b'): the pair
+        jaccard is 1.0 and both fingerprints agree, as in the oracles."""
+        import duckdb
+
+        import __ray_entry__ as entry
+        from pubmed_and_method_ray.pipelines import text_analysis
+
+        rows = [
+            {"doc_id": 1, "text": "ΣΑΣ b", "lang": "el", "source": "a"},
+            {"doc_id": 2, "text": "σασ b", "lang": "el", "source": "a"},
+        ]
+        sf = _write_docs(tmp_path, rows)
+        con = duckdb.connect()
+        con.execute(
+            f"CREATE VIEW documents AS SELECT * FROM "
+            f"read_parquet('{sf}/documents.parquet')"
+        )
+        sql = entry.oracle_sql()
+        rows = con.execute(sql["pair_jaccard_docs"]).fetchall()
+        want = [(a, b, j) for a, b, _, _, j in rows]
+        assert want == [(1, 2, 1.0)]
+        assert _got_pairs(dedup.pair_jaccard_docs(sf)) == want
+
+        want = sorted(con.execute(sql["doc_rolling_fingerprint"]).fetchall())
+        assert want[0][1:] == want[1][1:]
+        got = text_analysis.doc_rolling_fingerprint(sf).to_pandas()
+        got = got[["doc_id", "rolling_fp", "fp"]].itertuples(index=False, name=None)
+        assert sorted(got) == want
+        got = text_analysis.doc_fingerprint(sf).to_pandas()
+        assert sorted(got[["doc_id", "fp"]].itertuples(index=False, name=None)) == [
+            (d, fp) for d, _, fp in want
+        ]
+
+
 class TestBandKeys:
     def _sketch(self):
         rows = _near_dup_rows()

@@ -14,9 +14,11 @@ from pubmed_and_method_ray.functions.splits import (
     grouped_folds,
     split_group_column,
 )
+from pubmed_and_method_ray.pipelines import er
 from pubmed_and_method_ray.pipelines.er import run_er_pipeline
 from pubmed_and_method_ray.sources import checkpoint as ckpt
 from pubmed_and_method_ray.sources.pages import build_pages_dataset
+from pubmed_and_method_ray.stages.features import edges_from_scores
 
 SF = "/root/testdata/sf0.001"
 
@@ -255,8 +257,8 @@ class TestCheckpointResume:
         assert mman["counters"]["mentions"] == mman["rows"]
         assert 0 < mman["counters"]["distinct_hosts"] <= mman["rows"]
         sman = ckpt.read_manifest(os.path.join(workdir, "scored"))
-        sdf = out["scored"].to_pandas()
-        assert sman["counters"]["match_edges"] == int((sdf["score"] >= 0.5).sum())
+        edges = edges_from_scores(out["scored"], threshold=0.5).count()
+        assert sman["counters"]["match_edges"] == edges
         cman = ckpt.read_manifest(os.path.join(workdir, "clusters"))
         cdf = out["clusters"].to_pandas()
         assert cman["counters"]["nodes"] == len(cdf)
@@ -277,6 +279,227 @@ class TestCheckpointResume:
             man = ckpt.read_manifest(os.path.join(workdir, stage))
             assert n[True] == n[False] == man["counters"][key]
 
+
+def _recomputed_counters(workdir):
+    """Each stage's golden counters recomputed from its parquet files."""
+    import pyarrow.parquet as pq
+
+    def read(stage):
+        return pq.read_table(os.path.join(workdir, stage)).to_pandas()
+
+    out = {}
+    for stage, rows_key, fn in (
+        ("mentions", "mentions", lambda d: {"distinct_hosts": d["host"].nunique()}),
+        ("features", "pairs", lambda d: {"gold_pairs": d["label"].sum()}),
+        ("scored", "pairs", lambda d: {"match_edges": (d["score"] > 0.5).sum()}),
+        ("clusters", "nodes", lambda d: {"clusters": d["cluster_id"].nunique()}),
+    ):
+        if os.path.isdir(os.path.join(workdir, stage)):
+            d = read(stage)
+            out[stage] = {rows_key: len(d), **{k: int(v) for k, v in fn(d).items()}}
+    return out
+
+
+def _manifest_counters(workdir):
+    return {
+        stage: ckpt.read_manifest(os.path.join(workdir, stage))["counters"]
+        for stage in ("mentions", "features", "scored", "clusters")
+        if os.path.isdir(os.path.join(workdir, stage))
+    }
+
+
+class TestWriteTaskCounters:
+    """The manifest facts come back from the checkpoint write tasks: a
+    cold run re-reads no stage for bookkeeping."""
+
+    def test_cold_run_reads_each_stage_back_once(
+        self, pages_file, result, tmp_path_factory, monkeypatch
+    ):
+        import collections
+
+        import pyarrow.parquet as pq
+
+        from pubmed_and_method_ray.sources import io
+
+        reads, footers = collections.Counter(), []
+        real_read, real_meta = io.read_parquet_clean, pq.read_metadata
+
+        def counting_read(paths, **kw):
+            reads[paths] += 1
+            return real_read(paths, **kw)
+
+        def counting_meta(*a, **kw):
+            footers.append(a)
+            return real_meta(*a, **kw)
+
+        monkeypatch.setattr(io, "read_parquet_clean", counting_read)
+        monkeypatch.setattr(pq, "read_metadata", counting_meta)
+        workdir = str(tmp_path_factory.mktemp("ckpt_reads"))
+        out = run_er_pipeline(
+            pages_file, n_max=256, workdir=workdir, model_json=result["model_json"]
+        )
+        assert out["cluster_metrics"]["f1"] > 0.9
+        stages = ("mentions", "scored", "clusters")
+        assert reads == {os.path.join(workdir, s): 1 for s in stages}
+        assert footers == []
+
+    @pytest.mark.parametrize("cc_method", ["driver", "distributed"])
+    def test_counters_match_read_back(self, pages, result, tmp_path_factory, cc_method):
+        workdir = str(tmp_path_factory.mktemp(f"ckpt_{cc_method}"))
+        run_er_pipeline(
+            pages, n_max=256, workdir=workdir, model_json=result["model_json"],
+            cc_method=cc_method, evaluate=False,
+        )
+        want = _recomputed_counters(workdir)
+        assert set(want) == {"mentions", "scored", "clusters"}
+        assert _manifest_counters(workdir) == want
+
+    def test_trained_path_counters_match_read_back(self, pages, tmp_path_factory):
+        workdir = str(tmp_path_factory.mktemp("ckpt_trained"))
+        run_er_pipeline(pages, n_max=256, workdir=workdir, evaluate=False)
+        want = _recomputed_counters(workdir)
+        assert len(want) == 4 and want["features"]["gold_pairs"] > 0
+        assert _manifest_counters(workdir) == want
+
+    def test_distinct_overflow_falls_back_to_read_back(
+        self, pages, result, tmp_path_factory, monkeypatch
+    ):
+        """With a 0-byte budget every write task returns the overflow
+        marker, and both distinct counters are counted over the
+        read-back instead: the same counters come out."""
+        calls = []
+        real = er.sized_groupby_agg
+
+        def counting(ds, keys, *a, **kw):
+            calls.append(tuple(keys))
+            return real(ds, keys, *a, **kw)
+
+        monkeypatch.setattr(er, "sized_groupby_agg", counting)
+        monkeypatch.setattr(er, "_DISTINCT_BUDGET_BYTES", 0)
+        workdir = str(tmp_path_factory.mktemp("ckpt_overflow"))
+        run_er_pipeline(
+            pages, n_max=256, workdir=workdir, model_json=result["model_json"],
+            evaluate=False,
+        )
+        assert sorted(calls) == [("cluster_id",), ("host",)]
+        assert _manifest_counters(workdir) == _recomputed_counters(workdir)
+
+    def test_distinct_partials_stay_under_the_stage_budget(self, tmp_path, monkeypatch):
+        """Eight write tasks whose unique hosts each fit in half the
+        budget but together pass it: the driver gets under the budget of
+        unique values in all, the rest count over the read-back, and the
+        counters are right."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        blocks = [
+            pa.table({"host": [f"h{b}-{i % 50:03d}.example" for i in range(200)]})
+            for b in range(8)
+        ]
+        per_task = pc.unique(blocks[0]["host"]).nbytes
+        monkeypatch.setattr(er, "_DISTINCT_BUDGET_BYTES", 3 * per_task)
+        partial, merge = er._stage_counters("mentions", 0.5)
+        seen = []
+
+        def recording_merge(parts, read):
+            seen.extend(p["distinct_hosts"] for p in parts)
+            return merge(parts, read)
+
+        stage_dir = str(tmp_path / "mentions")
+        ckpt.checkpoint(
+            rd.from_arrow(blocks), stage_dir, "mentions", "fp",
+            summary=(partial, recording_merge),
+        )
+        assert len(seen) == 8 and None in seen
+        assert sum(v.nbytes for v in seen if v is not None) <= 3 * per_task
+        man = ckpt.read_manifest(stage_dir)
+        assert man["counters"] == {"mentions": 1600, "distinct_hosts": 400}
+
+    def test_match_edges_counts_the_edges_cc_uses(self, tmp_path):
+        """A score exactly at the threshold is not an edge
+        (``edges_from_scores`` keeps ``score > threshold``), so it is not
+        counted as a match edge either."""
+        import pyarrow as pa
+
+        t = pa.table(
+            {
+                "url_1": ["a", "b", "c", "d"],
+                "url_2": ["e", "f", "g", "h"],
+                "label": pa.array([0, 1, 1, 1], pa.int8()),
+                "score": [0.2, 0.5, 0.5, 0.9],
+            }
+        )
+        stage_dir = str(tmp_path / "scored")
+        read_back = ckpt.checkpoint(
+            rd.from_arrow(t), stage_dir, "scored", "fp",
+            summary=er._stage_counters("scored", 0.5),
+        )
+        man = ckpt.read_manifest(stage_dir)
+        assert man["counters"] == {"pairs": 4, "match_edges": 1}
+        assert edges_from_scores(read_back, threshold=0.5).count() == 1
+
+
+class TestNoCandidatePairs:
+    """22 pages on 22 distinct hosts give no candidate pair at all."""
+
+    @pytest.fixture(scope="class")
+    def pages22(self, tmp_path_factory):
+        import pyarrow.parquet as pq
+
+        from pubmed_and_method_ray.sources.io import read_parquet_clean
+        from pubmed_and_method_ray.sources.pages import pages_from_documents_batch
+
+        docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text", "lang"])
+        t = pages_from_documents_batch(docs, expand_k=1, n_hosts=5000, seed=1)
+        first = {}
+        for i, url in enumerate(t["url"].to_pylist()):
+            first.setdefault(url.split("/")[2], i)
+        t = t.take(sorted(first.values())[:22])
+        assert len({u.split("/")[2] for u in t["url"].to_pylist()}) == 22
+        d = str(tmp_path_factory.mktemp("pages22"))
+        pq.write_table(t, os.path.join(d, "pages.parquet"))
+        return read_parquet_clean(d, file_extensions=["parquet"])
+
+    def test_singletons_with_and_without_workdir(self, pages22, tmp_path_factory):
+        from pubmed_and_method_ray.state import (
+            load_pretrained_idf,
+            load_pretrained_model_json,
+        )
+
+        kw = dict(
+            model_json=load_pretrained_model_json(), idf=load_pretrained_idf(), n_max=64
+        )
+        workdir = str(tmp_path_factory.mktemp("ckpt_empty"))
+        runs = [
+            run_er_pipeline(pages22, **kw),
+            run_er_pipeline(pages22, workdir=workdir, **kw),
+        ]
+        man = ckpt.read_manifest(os.path.join(workdir, "scored"))
+        assert man["rows"] == 0 and man["counters"] == {"pairs": 0, "match_edges": 0}
+        runs.append(run_er_pipeline(pages22, workdir=workdir, **kw))  # resume
+        assert ckpt.read_manifest(os.path.join(workdir, "scored")) == man
+        for out in runs:
+            c = out["clusters"].to_pandas()
+            assert len(c) == 22 and (c["cluster_id"] == c["url"]).all()
+            assert out["scored"].count() == 0
+            assert out["pair_metrics"]["f1"] == 0.0
+            assert out["cluster_metrics_candidates"]["f1"] == 0.0
+        assert "score" in runs[2]["scored"].schema().names
+        assert ckpt.read_manifest(os.path.join(workdir, "clusters"))["counters"] == {
+            "nodes": 22, "clusters": 22,
+        }
+
+    def test_stage_without_rows_or_columns_resumes(self, tmp_path):
+        """Ray hands a fully filtered-out Dataset to the write tasks as
+        0-row blocks without columns: the stage is still one 0-row file,
+        and it resumes."""
+        stage_dir = str(tmp_path / "empty")
+        ds = rd.range(10).filter(lambda r: False)
+        assert ckpt.checkpoint(ds, stage_dir, "empty", "fp").count() == 0
+        man = ckpt.read_manifest(stage_dir)
+        assert man["rows"] == 0 and list(man["files"].values()) == [0]
+        assert ckpt.is_complete(stage_dir, "fp")
+        assert ckpt.checkpoint(None, stage_dir, "empty", "fp").count() == 0
 
 class TestRunEntry:
     def test_rerun_with_other_model_recomputes_output(self, pages, tmp_path_factory):
