@@ -1,14 +1,17 @@
 """Flagship entity-resolution pipeline (BASELINE.json north_star):
 
     pages -> extract_text -> normalize(+tfidf) -> blocking(+salting)
-          -> pair-gen -> pair features (actor pool) -> GBT scoring
-          -> match edges -> connected components -> clusters -> eval
+          -> pair-gen + pair features (+ GBT scoring) -> match edges
+          -> connected components -> clusters -> eval
 
 Mirrors the reference lifecycle (SURVEY.md §3.3): ClickHouse MV
 checkpoints become per-stage Parquet checkpoints with lineage manifests;
-the iterrows feature extractor becomes a vectorized actor pool; the
-sklearn model zoo becomes a driver-trained numpy GBT scored in an actor
-pool; gold-IDX label equality becomes explicit connected components.
+the iterrows feature extractor becomes a vectorized kernel fused into
+the pair task; the sklearn model zoo becomes a driver-trained numpy GBT
+that scores in map tasks (inside the pair task for a given model);
+gold-IDX label equality becomes explicit connected components. Every
+stage runs on Ray tasks and starts no actor, except distributed
+connected components, whose joins and groupbys use Ray's actor shuffle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ from ..rayutil import known_size, sized_groupby_agg
 from ..sources import checkpoint as ckpt
 from ..stages.blocking import generate_pair_features
 from ..stages.cluster import assign_clusters
-from ..stages.features import FEATURE_NAMES, edges_from_scores, score_pairs
+from ..stages.features import (
+    FEATURE_NAMES,
+    append_scores,
+    edges_from_scores,
+    model_from_ref,
+)
 from ..stages.mention_prep import extract_stage, fit_idf, normalize_batch
 
 PIPELINE_VERSION = "r2.0"  # r2.0: packed tfidf transport (tfidf_pk+norm)
@@ -146,7 +154,8 @@ def run_er_pipeline(
     prune_hamming: int | None = 16,
 ):
     """Run the full pipeline. Returns a dict with the clusters Dataset,
-    scored-pairs Dataset, trained model JSON, and (if labeled) metrics.
+    scored-pairs Dataset, trained model JSON, the clusters stage's
+    fingerprint (``clusters_fp``) and (if labeled) metrics.
 
     With ``workdir`` set, each stage checkpoints to
     ``{workdir}/{stage}/`` with a lineage manifest; a rerun with the same
@@ -239,8 +248,16 @@ def run_er_pipeline(
             "features",
         )
         model_json = train_pairwise_model(features)
+        model_ref = ray.put(model_json)
         scored = persist(
-            lambda: score_pairs(features, model_json, threshold=threshold), "scored"
+            lambda: features.map_batches(
+                lambda t: append_scores(t, model_from_ref(model_ref)).select(
+                    ["url_1", "url_2", "label", "score"]
+                ),
+                batch_format="pyarrow",
+                batch_size=None,
+            ),
+            "scored",
         )
     clusters = persist_if_reused(
         lambda: assign_clusters(
@@ -249,7 +266,12 @@ def run_er_pipeline(
         "clusters",
     )
 
-    out = {"clusters": clusters, "scored": scored, "model_json": model_json}
+    out = {
+        "clusters": clusters,
+        "scored": scored,
+        "model_json": model_json,
+        "clusters_fp": fp_clusters,
+    }
 
     if evaluate and keep_gold:
         # one read of scored: pairwise metrics at threshold (reference

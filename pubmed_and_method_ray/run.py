@@ -43,9 +43,7 @@ def main(argv=None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
-
-    from .pipelines.er import PIPELINE_VERSION, run_er_pipeline
+    from .pipelines.er import run_er_pipeline
     from .sources import checkpoint as ckpt
     from .state import load_pretrained_idf, load_pretrained_model_json
 
@@ -73,21 +71,12 @@ def main(argv=None) -> int:
         keep_gold=False,
         evaluate=False,
     )
-    # every input that can change the clusters: a rerun into the same
-    # --output with other or rewritten input files, model, idf or
-    # pipeline version recomputes
+    # the clusters stage's fingerprint covers every input that can
+    # change the clusters: a rerun into the same --output with other or
+    # rewritten input files, model, idf, parameters or pipeline version
+    # recomputes
     clusters = ckpt.checkpoint(
-        out["clusters"],
-        args.output,
-        "clusters_out",
-        ckpt.fingerprint(
-            PIPELINE_VERSION,
-            ckpt.input_identity(pages),
-            args.n_max,
-            args.threshold,
-            ckpt.content_digest(model_json.encode()),
-            None if idf is None else ckpt.content_digest(idf.tobytes()),
-        ),
+        out["clusters"], args.output, "clusters_out", out["clusters_fp"]
     )
     n = clusters.count()
     elapsed = time.time() - t0

@@ -561,9 +561,9 @@ def _bucket_pair_indices(group: pa.Table, n_max: int):
 
 def make_pairs_bucket(group: pa.Table, n_max: int = 512, keep_gold: bool = True) -> pa.Table:
     """Wide-pair variant: one row per pair with both sides' payloads.
-    Used by tests and the unfused path; the production pipeline fuses
-    featurization instead (make_features_bucket) so these wide rows never
-    materialize at scale."""
+    The pair-set oracle of the tests; it shares ``_bucket_pair_indices``
+    with make_features_bucket, which the pipeline runs instead, so
+    these wide rows never materialize there."""
     # a caller's table may arrive in many chunks; contiguous memory
     # first, or every take() below pays per-chunk overhead
     group = group.combine_chunks()
@@ -598,10 +598,10 @@ def make_features_bucket(
 ) -> pa.Table:
     """Fused pair-gen + featurization (+ optional scoring): emits
     (url_1, url_2, label?, feature columns[, score]) directly from the
-    bucket's mention rows — the 16KB-per-pair payload rows of the unfused
-    path never exist (SURVEY.md §7.4 'wide pair rows'). With a broadcast
-    ``model_ref`` the GBT scores in the same task (production path: one
-    exchange, one pass, pairs -> scored edges).
+    bucket's mention rows — the 16KB-per-pair payload rows of
+    make_pairs_bucket never exist (SURVEY.md §7.4 'wide pair rows').
+    With a broadcast ``model_ref`` the GBT scores in the same task
+    (production path: one exchange, one pass, pairs -> scored edges).
 
     ``prune_hamming``: the classic ER cascade's cheap filter — candidate
     pairs whose full-64-bit simhash Hamming distance exceeds it are
@@ -702,7 +702,8 @@ def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
 
 def generate_pairs(mentions_ds, n_max: int = 512, keep_gold: bool = True):
     """mentions -> canonical labeled candidate pairs WITH payloads (one
-    keyed exchange). Use generate_pair_features for the fused scale path."""
+    keyed exchange): the pair sets the tests check. The pipeline runs
+    generate_pair_features, which shares its buckets and pair indices."""
     return _keyed_buckets(mentions_ds, n_max, keep_gold).map_batches(
         lambda g: make_pairs_bucket(g, n_max=n_max, keep_gold=keep_gold),
         batch_format="pyarrow",

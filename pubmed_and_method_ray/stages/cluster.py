@@ -48,39 +48,6 @@ def _union_find_clusters(edge_iter):
     return {x: find(x) for x in parent}
 
 
-def _union_find_arrays(u1: np.ndarray, u2: np.ndarray):
-    """Vectorized-friendly union-find over edge arrays: urls factorize to
-    SORTED integer codes (so min code == lexicographically min url), the
-    union loop runs on ints with path halving, and full compression is
-    log-round pointer jumping — the only O(edges) Python loop is the
-    union pass itself. Returns (sorted urls, per-url min-url label)."""
-    all_urls, codes = np.unique(np.concatenate([u1, u2]), return_inverse=True)
-    c1 = codes[: len(u1)]
-    c2 = codes[len(u1) :]
-    parent = np.arange(len(all_urls), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for a, b in zip(c1.tolist(), c2.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:  # smaller code (= smaller url) wins as root
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    # full compression: vectorized pointer jumping to the fixpoint
-    while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
-            break
-        parent = nxt
-    return all_urls, all_urls[parent]
-
-
 def min_label_components(a1: pa.Array, a2: pa.Array):
     """Driver CC over edge endpoint ARROW arrays, no Python objects:
     factorize with pyarrow (unique + sort + index_in are C-level hash
@@ -88,8 +55,9 @@ def min_label_components(a1: pa.Array, a2: pa.Array):
     vectorized min-label edge relaxation + pointer jumping to the
     fixpoint (components are near-cliques here, so a handful of rounds).
     Returns (sorted-unique node Array, per-node min-node label Array) —
-    min code == lexicographically/numerically min node, matching
-    _union_find_arrays exactly."""
+    min code == lexicographically/numerically min node, the root
+    _union_find_clusters picks (the tests' reference, through
+    connected_components_driver)."""
     both = pa.chunked_array([a1, a2]).combine_chunks()
     uniq = pa.compute.unique(both)
     uniq_sorted = uniq.take(pa.compute.sort_indices(uniq))
@@ -407,29 +375,22 @@ def assign_clusters(
 ):
     """mentions + match edges -> Dataset (url, cluster_id); nodes without
     any match edge become singleton clusters (cluster_id = own url)."""
-    collected: list | None = None
-    if method == "auto":
-        # single streaming pass: collect edge batches up to the driver
-        # budget as ARROW chunks (no per-string Python objects); fall
-        # back to the distributed path only if the budget overflows
+    if method in ("auto", "driver"):
+        # single streaming pass: collect edge batches as ARROW chunks (no
+        # per-string Python objects); ``auto`` falls back to the
+        # distributed path only if the driver budget overflows
+        budget = driver_max_edges if method == "auto" else float("inf")
         collected = []
         n_edges = 0
         for b in edges_ds.iter_batches(batch_format="pyarrow", batch_size=65536):
             collected.append((b["url_1"].combine_chunks(), b["url_2"].combine_chunks()))
             n_edges += b.num_rows
-            if n_edges > driver_max_edges:
+            if n_edges > budget:
                 collected = None
                 break
         method = "driver" if collected is not None else "distributed"
 
     if method == "driver":
-        if collected is None:
-            collected = [
-                (b["url_1"].combine_chunks(), b["url_2"].combine_chunks())
-                for b in edges_ds.iter_batches(
-                    batch_format="pyarrow", batch_size=65536
-                )
-            ]
         empty = pa.array([], pa.string())
         a1 = (
             pa.chunked_array([c[0] for c in collected]).combine_chunks()

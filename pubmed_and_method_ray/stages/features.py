@@ -1,4 +1,4 @@
-"""Pairwise feature extraction (actor pool) + GBT scoring (actor pool).
+"""Pairwise feature extraction and GBT scoring kernels.
 
 The web-graft analog of the reference's per-pair feature library
 (/root/reference/src/pubmed_inner_feature_extract.py:213-341, kernels at
@@ -8,7 +8,8 @@ TF-IDF cosine, timestamp proximity, SimHash Hamming distance, ambiguity
 (block-size) score — per BASELINE.json north_star. The reference computes
 features row-at-a-time in a pandas iterrows loop; here the heavy parts
 (set intersections, tf-idf dot products, hamming) run on numpy arrays per
-Arrow batch inside a reusable actor.
+Arrow batch inside the fused pair task (blocking.make_features_bucket),
+which also scores the rows with ``append_scores`` when it has a model.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.simhash import hamming64_arrays
-from ..functions.textkernels import (
-    jaro_winkler_batch,
-    jaro_winkler_similarity,
-    levenshtein,
-    levenshtein_batch,
-)
+from ..functions.textkernels import jaro_winkler_batch, levenshtein_batch
 
 
 def _dedup_batch_kernel(strings: np.ndarray, li: np.ndarray, ri: np.ndarray, fn):
@@ -50,9 +46,6 @@ FEATURE_NAMES = [
     "title_len_ratio",
     "same_lang",
 ]
-
-ID_COLS = ["url_1", "url_2"]
-
 
 def _intersect_count_sorted(a: np.ndarray, b: np.ndarray) -> int:
     """|a ∩ b| for SORTED unique arrays via searchsorted (no re-sort —
@@ -364,116 +357,15 @@ def empty_features(with_label: bool) -> pa.Table:
     return pa.Table.from_pydict(cols)
 
 
-class PairFeatures:
-    """Actor-pool stage: pairs-with-payloads -> numeric feature vector.
-    ``idf_ref``: broadcast idf (ray.put ref or ndarray) — required when
-    the pair rows carry packed tfidf (tfidf_pk_1/2, see _unpack_tfidf)."""
-
-    def __init__(self, idf_ref=None):
-        self.idf_ref = idf_ref
-        self._idf = None
-
-    def _get_idf(self):
-        if self._idf is None and self.idf_ref is not None:
-            from .mention_prep import get_broadcast
-
-            self._idf = get_broadcast(self.idf_ref)  # ndarray passes through
-        return self._idf
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        t1 = batch["title_1"].to_pylist()
-        t2 = batch["title_2"].to_pylist()
-        p1 = batch["path_1"].to_pylist()
-        p2 = batch["path_2"].to_pylist()
-
-        jw_title = np.array([jaro_winkler_similarity(a, b) for a, b in zip(t1, t2)])
-        jw_path = np.array([jaro_winkler_similarity(a, b) for a, b in zip(p1, p2)])
-        lev_path = np.array(
-            [
-                1.0 - levenshtein(a, b) / max(len(a), len(b), 1)
-                for a, b in zip(p1, p2)
-            ]
-        )
-
-        to1, tv1 = _list_view(batch["tok_hashes_1"])
-        to2, tv2 = _list_view(batch["tok_hashes_2"])
-        so1, sv1 = _list_view(batch["sh_hashes_1"])
-        so2, sv2 = _list_view(batch["sh_hashes_2"])
-        rows = np.arange(n, dtype=np.int64)
-        jac_tok = pairwise_jaccard(to1, tv1, rows, to2, tv2, rows)
-        jac_sh = pairwise_jaccard(so1, sv1, rows, so2, sv2, rows)
-
-        if "tfidf_pk_1" in batch.column_names:
-            idf = self._get_idf()
-            io1, iv1, wv1 = _unpack_tfidf(
-                batch["tfidf_pk_1"], batch["tfidf_norm_1"], idf
-            )
-            io2, iv2, wv2 = _unpack_tfidf(
-                batch["tfidf_pk_2"], batch["tfidf_norm_2"], idf
-            )
-            cos = pairwise_sparse_dot(
-                io1, iv1, io1, wv1, rows, io2, iv2, io2, wv2, rows
-            )
-        else:
-            cos = np.zeros(n)
-
-        ts1 = np.asarray(batch["ts_us_1"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        ts2 = np.asarray(batch["ts_us_2"].to_numpy(zero_copy_only=False), dtype=np.int64)
-        days = np.abs(ts1 - ts2) / 86_400_000_000.0
-        ts_prox = 1.0 / (1.0 + days)
-
-        s1 = np.asarray(batch["simhash_1"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        s2 = np.asarray(batch["simhash_2"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-        sim_sim = 1.0 - hamming64_arrays(s1, s2) / 64.0 if n else np.zeros(0)
-
-        block = np.asarray(batch["block_size"].to_numpy(zero_copy_only=False), dtype=np.float64)
-        ambiguity = np.log1p(block)
-
-        l1 = np.array([len(x) for x in t1], dtype=np.float64)
-        l2 = np.array([len(x) for x in t2], dtype=np.float64)
-        len_ratio = np.minimum(l1, l2) / np.maximum(np.maximum(l1, l2), 1.0)
-
-        lang1 = batch["lang_1"].to_pylist()
-        lang2 = batch["lang_2"].to_pylist()
-        same_lang = np.array([1.0 if a == b else 0.0 for a, b in zip(lang1, lang2)])
-
-        feats = [
-            jw_title,
-            jw_path,
-            lev_path,
-            jac_tok,
-            jac_sh,
-            cos,
-            ts_prox,
-            sim_sim,
-            ambiguity,
-            len_ratio,
-            same_lang,
-        ]
-        cols = {c: batch[c] for c in ID_COLS}
-        if "label" in batch.column_names:
-            cols["label"] = batch["label"]
-        for name, arr in zip(FEATURE_NAMES, feats):
-            cols[name] = pa.array(np.asarray(arr, dtype=np.float64), pa.float64())
-        return pa.Table.from_pydict(cols)
-
-
-_MODEL_CACHE: dict = {}
-
-
 def model_from_ref(model_ref):
-    """Deserialize the broadcast GBT once per worker process (map tasks
-    reuse workers, so the JSON parse cost is amortized like actor state)."""
-    key = model_ref.hex() if hasattr(model_ref, "hex") else str(model_ref)
-    m = _MODEL_CACHE.get(key)
-    if m is None:
-        import ray
+    """The broadcast GBT, parsed once per worker process: the parsed
+    model sits in ``get_broadcast``'s LRU, so map tasks that reuse a
+    worker skip the JSON parse and each run's model ref is evicted like
+    any other broadcast."""
+    from ..functions.gbt import GBTClassifier
+    from .mention_prep import get_broadcast
 
-        from ..functions.gbt import GBTClassifier
-
-        m = _MODEL_CACHE[key] = GBTClassifier.from_json(ray.get(model_ref))
-    return m
+    return get_broadcast(model_ref, GBTClassifier.from_json)
 
 
 def append_scores(features_table: pa.Table, model) -> pa.Table:
@@ -489,59 +381,6 @@ def append_scores(features_table: pa.Table, model) -> pa.Table:
     return features_table.append_column(
         "score", pa.array(model.predict_proba(X), pa.float64())
     )
-
-
-class GBTScorer:
-    """Actor-pool scorer: feature vector -> p(match). Model weights are
-    broadcast once (ray.put on the driver, ray.get per actor __init__) —
-    the T5 production-scoring analog (SURVEY.md §2.3)."""
-
-    def __init__(self, model_ref):
-        import ray
-
-        from ..functions.gbt import GBTClassifier
-
-        blob = ray.get(model_ref)
-        self.model = GBTClassifier.from_json(blob)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        X = np.column_stack(
-            [batch[c].to_numpy(zero_copy_only=False) for c in FEATURE_NAMES]
-        )
-        p = self.model.predict_proba(X)
-        cols = {c: batch[c] for c in ID_COLS}
-        if "label" in batch.column_names:
-            cols["label"] = batch["label"]
-        cols["score"] = pa.array(p, pa.float64())
-        return pa.Table.from_pydict(cols)
-
-
-def featurize_pairs(pairs_ds, concurrency=(1, 16), batch_size: int = 2048,
-                    idf_ref=None):
-    return pairs_ds.map_batches(
-        PairFeatures,
-        fn_constructor_kwargs={"idf_ref": idf_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
-def score_pairs(features_ds, model_json: str, threshold: float = 0.5,
-                concurrency=(1, 8), batch_size: int = 8192):
-    """features -> scored pairs; caller filters score > threshold into edges."""
-    import ray
-    import pyarrow.compute as pc
-
-    model_ref = ray.put(model_json)
-    scored = features_ds.map_batches(
-        GBTScorer,
-        fn_constructor_kwargs={"model_ref": model_ref},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    return scored
 
 
 def edges_from_scores(scored_ds, threshold: float = 0.5):

@@ -54,21 +54,24 @@ _REF_CACHE_MAX = 8  # distinct broadcasts alive per worker at once: model +
 # every past round's table in each worker's heap for the job lifetime.
 
 
-def get_broadcast(ref):
+def get_broadcast(ref, decode=None):
     """Fetch a ray.put broadcast once per worker process (numpy payloads
     come back zero-copy from plasma; the cache skips repeat deserializes
     for dict payloads). LRU-bounded so iterative per-round broadcasts
-    don't accumulate. A raw ndarray passes through unchanged (tests and
+    don't accumulate. ``decode`` maps the payload to what the cache
+    keeps (the parsed GBT for a model's JSON), so decoded values share
+    the same bound. A raw ndarray passes through unchanged (tests and
     direct in-process callers hand the payload itself)."""
     if ref is None:
         return None
     if isinstance(ref, np.ndarray):
         return ref
-    key = ref.hex() if hasattr(ref, "hex") else str(ref)
+    key = (ref.hex() if hasattr(ref, "hex") else str(ref), decode)
     if key not in _REF_CACHE:
         import ray
 
-        _REF_CACHE[key] = ray.get(ref)
+        payload = ray.get(ref)
+        _REF_CACHE[key] = payload if decode is None else decode(payload)
         if len(_REF_CACHE) > _REF_CACHE_MAX:
             _REF_CACHE.popitem(last=False)
     else:

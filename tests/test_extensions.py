@@ -1,5 +1,5 @@
-"""Tests for the extension surface: feature groups, scalers, stage
-registry, ascii folding / text cleaning kernels."""
+"""Tests for the extension surface: feature groups, scalers, ascii
+folding / text cleaning kernels."""
 
 import numpy as np
 import pytest
@@ -85,47 +85,6 @@ class TestScaler:
             out[cols].to_numpy(), sc_l.transform(X), atol=1e-9
         )
 
-
-class TestStageRegistry:
-    def test_fn_stage_and_runner(self, tmp_path):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from pubmed_and_method_ray.pipelines.registry import FnStage, run_pipeline
-
-        ds = rd.from_arrow(pa.Table.from_pydict({"x": [1, 2, 3]}))
-        double = FnStage(
-            "double",
-            lambda d: d.map_batches(
-                lambda t: pa.Table.from_pydict(
-                    {"x": pa.compute.multiply(t["x"], 2)}
-                ),
-                batch_format="pyarrow",
-            ),
-        )
-        out = run_pipeline(ds, [double], workdir=str(tmp_path))
-        assert sorted(out.to_pandas()["x"]) == [2, 4, 6]
-        # resume: rerun skips the completed stage (manifest untouched)
-        from pubmed_and_method_ray.sources import checkpoint as ckpt
-        import os
-
-        man1 = ckpt.read_manifest(os.path.join(tmp_path, "double"))
-        out2 = run_pipeline(ds, [double], workdir=str(tmp_path))
-        man2 = ckpt.read_manifest(os.path.join(tmp_path, "double"))
-        assert man1["written_at"] == man2["written_at"]
-        assert sorted(out2.to_pandas()["x"]) == [2, 4, 6]
-
-    def test_registry_lookup(self):
-        from pubmed_and_method_ray.pipelines.registry import (
-            STAGE_REGISTRY,
-            make_stage,
-        )
-
-        assert {"extract_text", "normalize", "pair_features"} <= set(STAGE_REGISTRY)
-        st = make_stage("extract_text")
-        assert st.name == "extract_text"
-        with pytest.raises(KeyError):
-            make_stage("nope")
 
 class TestRedactPii:
     def test_kernel_counts_and_masks(self):

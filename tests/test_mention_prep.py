@@ -212,6 +212,43 @@ class TestBroadcastCache:
         assert len(fetches) == n + 1
         mp._REF_CACHE.clear()
 
+    def test_parsed_models_share_the_bound(self, monkeypatch):
+        """Each pipeline run broadcasts its model under a new ref: the
+        parsed GBTs a worker keeps are bounded by the same LRU, and an
+        evicted model parses again on its next use."""
+        import json
+
+        import ray
+
+        from pubmed_and_method_ray.stages.features import model_from_ref
+
+        class FakeRef:
+            def __init__(self, k):
+                self.k = k
+
+            def hex(self):
+                return f"model{self.k:04d}"
+
+        fetches = []
+
+        def fake_get(ref):
+            fetches.append(ref.k)
+            return json.dumps(
+                {"base_score": float(ref.k), "learning_rate": 0.2, "trees": []}
+            )
+
+        monkeypatch.setattr(ray, "get", fake_get)
+        mp._REF_CACHE.clear()
+        refs = [FakeRef(i) for i in range(mp._REF_CACHE_MAX + 3)]
+        for r in refs:
+            assert model_from_ref(r).base_score == r.k
+        assert len(mp._REF_CACHE) == mp._REF_CACHE_MAX
+        assert model_from_ref(refs[-1]) is model_from_ref(refs[-1])
+        assert fetches == [r.k for r in refs]
+        assert model_from_ref(refs[0]).base_score == 0
+        assert fetches[-1] == 0 and len(fetches) == len(refs) + 1
+        mp._REF_CACHE.clear()
+
 
 class TestPackedTfidfTransport:
     """tfidf ships as ONE uint32 list (idx | tf<<16) + a float32 norm;

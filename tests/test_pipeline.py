@@ -107,6 +107,22 @@ class TestEndToEnd:
         assert fwd == rev
 
 
+class TestNoActors:
+    def test_trained_run_starts_no_actors(self, pages, tmp_path_factory):
+        """The trained path scores its features stage in map tasks, as
+        the fused pretrained path does: a checkpointed, evaluated run
+        creates no Ray actor (shuffle aggregator, actor-pool worker)."""
+        import ray._private.state as ray_state
+
+        rd.range(4).materialize()  # Ray Data's own per-session actors
+        before = set(ray_state.actors())
+        workdir = str(tmp_path_factory.mktemp("ckpt_no_actors"))
+        out = run_er_pipeline(pages, n_max=256, workdir=workdir)
+        assert out["scored"].schema().names == ["url_1", "url_2", "label", "score"]
+        assert out["cluster_metrics"]["f1"] >= 0.99
+        assert set(ray_state.actors()) - before == set()
+
+
 class TestGroupedSplit:
     def test_no_leakage_any_fold(self, result):
         sdf = result["scored"].to_pandas()
@@ -526,6 +542,19 @@ class TestRunEntry:
         assert n_clusters(MODEL_PATH) < pages.count()
         # a model that matches nothing leaves every page a singleton
         assert n_clusters(str(never)) == pages.count()
+
+    def test_output_fingerprint_is_the_clusters_fingerprint(self, pages, tmp_path_factory):
+        """``--output`` is fingerprinted with the pipeline's own clusters
+        stage fingerprint, not a second hand-built chain."""
+        from pubmed_and_method_ray import run
+
+        tmp = tmp_path_factory.mktemp("run_entry_fp")
+        in_dir, out_dir, workdir = (str(tmp / d) for d in ("pages", "out", "ckpt"))
+        rd.from_pandas(pages.to_pandas()).write_parquet(in_dir)
+        argv = ["--input", in_dir, "--output", out_dir, "--workdir", workdir]
+        assert run.main(argv) == 0
+        out_fp = ckpt.read_manifest(out_dir)["fingerprint"]
+        assert out_fp == ckpt.read_manifest(os.path.join(workdir, "clusters"))["fingerprint"]
 
 
 class TestOneCpuCluster:
