@@ -21,9 +21,9 @@ def _configure_ray_data() -> None:
     """Engine-wide Ray Data defaults. HASH_SHUFFLE is required for
     key-based repartition (the pair-jaccard and SimHash dedup
     exchanges, the MinHash-LSH verify joins, as-of and the relational
-    exchanges; the ER pair exchange, shared-window dedup and the
-    MinHash-LSH band exchanges are ``rayutil.keyed_exchange`` and use
-    none of this) and is the strategy that scales aggregations on a
+    exchanges; the ER pair exchange, distributed connected components,
+    shared-window dedup and the MinHash-LSH band exchanges are
+    ``rayutil.keyed_exchange``/``split_blocks`` and use none of this) and is the strategy that scales aggregations on a
     multi-node cluster; it must be set before any Dataset is created
     (contexts snapshot at creation)."""
     try:

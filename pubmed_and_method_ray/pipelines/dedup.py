@@ -944,34 +944,19 @@ def dedup_canonical_docs(
     docs = _read_documents(sf_dir, ["doc_id"])
 
     if collected is None:
-        # distributed path: CC labels for edge-nodes, then left-fill
-        # singletons (canonical = own doc_id)
         labels = connected_components_distributed(
+            docs,
             edges_ds,
-            edge_cols=("doc_id1", "doc_id2"),
             node_col="doc_id",
+            edge_cols=("doc_id1", "doc_id2"),
             label_col="canonical_id",
         )
-        joined = docs.join(
-            labels,
-            join_type="left_outer",
-            on=("doc_id",),
-            num_partitions=join_partitions(),
-        )
 
-        def fill(t: pa.Table) -> pa.Table:
-            canon = pc.coalesce(t["canonical_id"], t["doc_id"])
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": t["doc_id"],
-                    "canonical_id": pc.cast(canon, pa.int64()),
-                    "is_canonical": pc.cast(
-                        pc.equal(canon, t["doc_id"]), pa.int8()
-                    ),
-                }
-            )
+        def flag(t: pa.Table) -> pa.Table:
+            is_canon = pc.equal(t["canonical_id"], t["doc_id"])
+            return t.append_column("is_canonical", pc.cast(is_canon, pa.int8()))
 
-        return joined.map_batches(fill, batch_format="pyarrow")
+        return labels.map_batches(flag, batch_format="pyarrow")
 
     u1 = (
         np.concatenate([c[0] for c in collected])

@@ -10,8 +10,8 @@ the iterrows feature extractor becomes a vectorized kernel fused into
 the pair task; the sklearn model zoo becomes a driver-trained numpy GBT
 that scores in map tasks (inside the pair task for a given model);
 gold-IDX label equality becomes explicit connected components. Every
-stage runs on Ray tasks and starts no actor, except distributed
-connected components, whose joins and groupbys use Ray's actor shuffle.
+stage runs on Ray tasks and starts no actor, distributed connected
+components included.
 """
 
 from __future__ import annotations

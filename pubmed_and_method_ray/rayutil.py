@@ -176,6 +176,40 @@ def _merge_part(*slices):
     return pa.concat_tables(slices, promote_options="default").combine_chunks()
 
 
+def _prep_and_split(block, part_col: str, n_parts: int, prep):
+    """Split task of ``split_blocks``: ``prep`` (if any) maps the block
+    to the rows to exchange, then ``_split_by_part`` slices them. A 0-row
+    block skips ``prep`` and splits as a column-less table."""
+    import pyarrow as pa
+    from ray.data.block import BlockAccessor
+
+    if prep is not None:
+        t = BlockAccessor.for_block(block).to_arrow()
+        block = prep(t) if t.num_rows else pa.table({})
+    return _split_by_part(block, part_col, n_parts)
+
+
+def split_blocks(ds, part_col: str, n_parts: int, prep=None):
+    """The split half of ``keyed_exchange``, at the object-ref level: one
+    split task per block of ``ds`` (submitted as blocks arrive; ``ds``
+    runs once, here). Returns, for each partition i, the refs of its
+    slices, one per input block (no block: ``n_parts`` empty lists).
+    ``prep(table) -> table`` runs inside the split task and must add
+    ``part_col``; a caller merges a partition's slices with
+    ``_merge_part`` inside whatever task consumes them."""
+    import ray
+
+    split = ray.remote(_prep_and_split).options(num_returns=n_parts)
+    shards = [
+        split.remote(ref, part_col, n_parts, prep)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    if n_parts == 1:
+        shards = [[s] for s in shards]
+    return [list(col) for col in zip(*shards)] or [[] for _ in range(n_parts)]
+
+
 def keyed_exchange(ds, part_col: str, n_parts: int):
     """Deliver every row to the partition its ``part_col`` names: output
     block i holds exactly the rows whose ``part_col`` is i (an int in
@@ -198,23 +232,15 @@ def keyed_exchange(ds, part_col: str, n_parts: int):
     import ray
     import ray.data as rd
 
-    split = ray.remote(_split_by_part).options(num_returns=n_parts)
-    shards = [
-        split.remote(ref, part_col, n_parts)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
-    if not shards:
+    parts = split_blocks(ds, part_col, n_parts)
+    if not parts[0]:
         schema = ds.schema()
         schema = getattr(schema, "base_schema", schema) or pa.schema([])
         return rd.from_arrow_refs(
             [ray.put(schema.empty_table()) for _ in range(n_parts)]
         )
-    if n_parts == 1:
-        shards = [[s] for s in shards]
     merge = ray.remote(_merge_part)
-    merged = [merge.remote(*col) for col in zip(*shards)]
-    return rd.from_arrow_refs(merged)
+    return rd.from_arrow_refs([merge.remote(*col) for col in parts])
 
 
 def lpt_buckets(weights, n_buckets: int):

@@ -113,8 +113,9 @@ def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
     """Write ``ds`` to ``stage_dir`` (atomic) with a lineage manifest and
     return a Dataset reading it back. If a complete checkpoint with the
     same fingerprint exists, skip the write and just read; ``ds`` is not
-    touched then, so a caller that has checked ``is_complete`` may pass
-    None instead of building the stage.
+    touched then. ``ds=None`` reads back without checking: the caller
+    has found the checkpoint complete (``is_complete``) and so did not
+    build the stage.
 
     The manifest's files, rows and counters come back from the write
     tasks; nothing re-reads the files for them. ``summary = (partial,
@@ -125,7 +126,7 @@ def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
     count. A stage without rows is one 0-row file with its schema."""
     from .io import read_parquet_clean
 
-    if is_complete(stage_dir, fp):
+    if ds is None or is_complete(stage_dir, fp):
         return read_parquet_clean(stage_dir, file_extensions=["parquet"])
 
     tmp_dir = stage_dir + ".tmp"

@@ -295,6 +295,23 @@ class TestTaskExchanges:
         assert len(_got_pairs(dedup.dedup_minhash_lsh(sf))) > 0
         assert set(ray_state.actors()) - before == set()
 
+    def test_distributed_canonical_docs_start_no_actors(self, ray_session, tmp_path):
+        """Past its edge budget, canonical dedup runs connected
+        components on plain tasks too."""
+        import ray._private.state as ray_state
+        import ray.data as rd
+
+        def rows(ds):
+            return sorted(map(tuple, ds.to_pandas().to_numpy().tolist()))
+
+        sf = _write_docs(tmp_path, _near_dup_rows())
+        want = rows(dedup.dedup_canonical_docs(sf))
+        rd.range(4).materialize()  # Ray Data's own per-session actors
+        before = set(ray_state.actors())
+        assert rows(dedup.dedup_canonical_docs(sf, driver_max_edges=0)) == want
+        assert set(ray_state.actors()) - before == set()
+        assert len(want) == 21 and sum(r[2] for r in want) < 21
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_do_not_depend_on_partition_count(
         self, ray_session, tmp_path, monkeypatch, n

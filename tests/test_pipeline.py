@@ -122,6 +122,18 @@ class TestNoActors:
         assert out["cluster_metrics"]["f1"] >= 0.99
         assert set(ray_state.actors()) - before == set()
 
+    def test_distributed_cc_run_starts_no_actors(self, pages, result):
+        """Forced distributed connected components runs on plain tasks."""
+        import ray._private.state as ray_state
+
+        rd.range(4).materialize()  # Ray Data's own per-session actors
+        before = set(ray_state.actors())
+        out = run_er_pipeline(
+            pages, n_max=256, model_json=result["model_json"], cc_method="distributed"
+        )
+        assert out["cluster_metrics"]["f1"] >= 0.99
+        assert set(ray_state.actors()) - before == set()
+
 
 class TestGroupedSplit:
     def test_no_leakage_any_fold(self, result):
@@ -193,6 +205,27 @@ class TestCheckpointResume:
         a = cold.sort_values("url").reset_index(drop=True)
         b = resumed.sort_values("url").reset_index(drop=True)
         assert a.equals(b)
+
+    def test_full_resume_checks_each_stage_once(
+        self, pages_file, result, tmp_path_factory, monkeypatch
+    ):
+        """A resumed stage reads its manifest and file footers once."""
+        import collections
+
+        calls = collections.Counter()
+        real = ckpt.is_complete
+
+        def counting(stage_dir, fp):
+            calls[os.path.basename(stage_dir)] += 1
+            return real(stage_dir, fp)
+
+        workdir = str(tmp_path_factory.mktemp("ckpt_checks"))
+        kw = dict(n_max=256, workdir=workdir, model_json=result["model_json"])
+        run_er_pipeline(pages_file, **kw)
+        monkeypatch.setattr(ckpt, "is_complete", counting)
+        resumed = run_er_pipeline(pages_file, **kw)
+        assert resumed["cluster_metrics"]["f1"] >= 0.99
+        assert calls == {"mentions": 1, "scored": 1, "clusters": 1}
 
     def test_changed_input_invalidates_checkpoints(self, pages, tmp_path_factory):
         """Same workdir + DIFFERENT input must recompute, not silently
@@ -559,15 +592,17 @@ class TestRunEntry:
 
 class TestOneCpuCluster:
     def test_generate_pairs_finishes_on_one_cpu(self, pages):
-        """The pair stage runs on a 1-CPU Ray cluster (no exchange actor
-        holds a CPU its tasks need) and finds the same pairs as on the
-        test session's cluster."""
+        """The pair stage and distributed connected components run on a
+        1-CPU Ray cluster (no exchange actor holds a CPU their tasks
+        need) and give the same pairs and clusters as on the test
+        session's cluster."""
         import signal
         import subprocess
         import sys
 
         from pubmed_and_method_ray.pipelines.er import prepare_mentions
         from pubmed_and_method_ray.stages.blocking import generate_pairs
+        from pubmed_and_method_ray.stages.cluster import assign_clusters
 
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = (
@@ -581,6 +616,10 @@ class TestOneCpuCluster:
             f"pages = build_pages_dataset({SF!r}, expand_k=4)\n"
             "mentions = prepare_mentions(pages).materialize()\n"
             "print('PAIRS', generate_pairs(mentions, n_max=256).count())\n"
+            "from tests.test_pipeline import _chain_edges, _digest\n"
+            "from pubmed_and_method_ray.stages.cluster import assign_clusters\n"
+            "cc = assign_clusters(mentions, _chain_edges(mentions), method='distributed')\n"
+            "print('CLUSTERS', _digest(cc))\n"
             "ray.shutdown()\n"
         )
         env = dict(os.environ, PYTHONPATH=repo)
@@ -603,6 +642,39 @@ class TestOneCpuCluster:
         (line,) = [ln for ln in out.splitlines() if ln.startswith("PAIRS")]
         mentions = prepare_mentions(pages).materialize()
         assert int(line.split()[1]) == generate_pairs(mentions, n_max=256).count()
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("CLUSTERS")]
+        drv = assign_clusters(mentions, _chain_edges(mentions), method="driver")
+        assert line.split()[1] == _digest(drv)
+
+
+def _chain_edges(mentions):
+    """Chains of 5 consecutive urls (in sorted order) as match edges."""
+    import pyarrow as pa
+
+    urls = sorted(mentions.select_columns(["url"]).to_pandas()["url"])
+    keep = [i for i in range(len(urls) - 1) if i % 5 != 4]
+    return rd.from_arrow(
+        pa.table({"url_1": [urls[i] for i in keep], "url_2": [urls[i + 1] for i in keep]})
+    )
+
+
+def _digest(clusters) -> str:
+    import hashlib
+
+    df = clusters.to_pandas().sort_values("url")
+    lines = "\n".join(f"{u}\t{c}" for u, c in zip(df["url"], df["cluster_id"]))
+    return hashlib.sha1(lines.encode()).hexdigest()
+
+
+def _nodes_ds(nodes, col="url"):
+    import pyarrow as pa
+
+    return rd.from_arrow(pa.table({col: nodes}))
+
+
+def _labels(ds, node_col="url", label_col="cluster_id"):
+    df = ds.to_pandas()
+    return dict(zip(df[node_col], df[label_col]))
 
 
 class TestConnectedComponents:
@@ -615,9 +687,8 @@ class TestConnectedComponents:
 
         edges = edges_from_scores(result["scored"], 0.5).materialize()
         drv = connected_components_driver(edges)
-        dist = connected_components_distributed(edges).to_pandas()
-        got = dict(zip(dist["url"], dist["cluster_id"]))
-        assert got == drv  # same minimal-url labels
+        dist = connected_components_distributed(_nodes_ds(sorted(drv)), edges)
+        assert _labels(dist) == drv  # same minimal-url labels
 
     def test_distributed_non_ascii_labels(self):
         """Convergence detection must not rely on an ASCII sentinel: labels
@@ -636,29 +707,20 @@ class TestConnectedComponents:
                 "url_2": ["ê", "ë", "ü2"],
             }
         )
-        edges = ray.data.from_arrow(t)
-        out = connected_components_distributed(edges, max_rounds=10).to_pandas()
-        got = dict(zip(out["url"], out["cluster_id"]))
-        assert got == {"é": "é", "ê": "é", "ë": "é", "ü1": "ü1", "ü2": "ü1"}
+        nodes = _nodes_ds(["é", "ê", "ë", "ü1", "ü2"])
+        out = connected_components_distributed(nodes, ray.data.from_arrow(t))
+        assert _labels(out) == {"é": "é", "ê": "é", "ë": "é", "ü1": "ü1", "ü2": "ü1"}
 
     def test_distributed_green_at_forced_high_partitions(self, monkeypatch):
-        """The distributed path's joins (label-prop messages AND the
-        full-mention singleton left-fill) must stay correct when the
-        partition count is forced far above CPUs and data — the two
-        sites that carried a hard 64-cap until round 5 (mirrors
-        test_pairs.test_pairs_green_at_forced_high_partitions)."""
+        """assign_clusters' distributed path labels every mention (the
+        singletons too) when the partition count is forced far above the
+        data: most partitions receive no edge, and some no row at all."""
         import ray
         import pyarrow as pa
 
         import pubmed_and_method_ray.stages.cluster as cluster
 
-        # forced counts must respect the 4-CPU test session: join AND
-        # groupby aggregators each reserve 0.25 logical CPU per
-        # partition for the exchange lifetime, and a label-prop round
-        # holds one of each concurrently (5+6 -> 2.75 CPUs reserved,
-        # leaving 1.25 for tasks; 37/41 deadlocks outright)
-        monkeypatch.setattr(cluster, "join_partitions", lambda *a, **k: 5)
-        monkeypatch.setattr(cluster, "shuffle_partitions", lambda *a, **k: 6)
+        monkeypatch.setattr(cluster, "shuffle_partitions", lambda *a, **k: 37)
 
         # 3 chain components of 4 urls + 100 singleton mentions
         u = [f"u{i:03d}" for i in range(12)]
@@ -674,20 +736,50 @@ class TestConnectedComponents:
         mentions = ray.data.from_arrow(
             pa.table({"url": u + singles, "x": list(range(112))})
         )
-        out = cluster.assign_clusters(
-            mentions, edges, method="distributed"
-        ).to_pandas()
-        got = dict(zip(out["url"], out["cluster_id"]))
+        out = cluster.assign_clusters(mentions, edges, method="distributed")
         want = {x: u[(i // 4) * 4] for i, x in enumerate(u)}
         want.update({s: s for s in singles})
-        assert got == want
+        assert _labels(out) == want
 
-    def test_distributed_long_chain_both_message_paths(self):
-        """An 8-node chain needs ~7 propagation rounds with shrinking
-        frontiers: the default run exercises the broadcast-frontier
-        message path (every round past the first fits the budget), and
-        frontier_broadcast_max=0 forces the dense nbrs-join path every
-        round — both must reach the same min-label fixpoint."""
+    def test_partitions_without_rows_and_edges_without_nodes(self, monkeypatch):
+        """8 partitions for 3 nodes leave at least 5 with no row. An edge
+        endpoint missing from the nodes (``hub``) still carries labels
+        but gets no row; a node repeated in the nodes gets a row each."""
+        import ray
+        import pyarrow as pa
+
+        import pubmed_and_method_ray.stages.cluster as cluster
+
+        monkeypatch.setattr(cluster, "shuffle_partitions", lambda *a, **k: 8)
+        edges = ray.data.from_arrow(
+            pa.table({"url_1": ["hub", "hub"], "url_2": ["b", "c"]})
+        )
+        out = cluster.connected_components_distributed(
+            _nodes_ds(["c", "b", "c"]), edges
+        ).to_pandas()
+        assert sorted(zip(out["url"], out["cluster_id"])) == [
+            ("b", "b"), ("c", "b"), ("c", "b")
+        ]
+
+    def test_distributed_without_edges(self):
+        """0 edges: every node labels itself, on both entry points."""
+        import ray
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.stages.cluster import (
+            assign_clusters,
+            connected_components_distributed,
+        )
+
+        empty = pa.array([], pa.string())
+        edges = ray.data.from_arrow(pa.table({"url_1": empty, "url_2": empty}))
+        nodes = _nodes_ds(["x", "y", "z"])
+        want = {"x": "x", "y": "y", "z": "z"}
+        assert _labels(connected_components_distributed(nodes, edges)) == want
+        assert _labels(assign_clusters(nodes, edges, method="distributed")) == want
+
+    def test_distributed_long_chain(self):
+        """An 8-node chain needs 8 rounds with shrinking frontiers."""
         import ray
         import pyarrow as pa
 
@@ -698,19 +790,26 @@ class TestConnectedComponents:
         n = 8
         u = [f"c{i:02d}" for i in range(n)]
         t = pa.Table.from_pydict({"url_1": u[:-1], "url_2": u[1:]})
-        want = {x: u[0] for x in u}
-        for budget in (2_000_000, 0):
-            out = connected_components_distributed(
-                ray.data.from_arrow(t), frontier_broadcast_max=budget
-            ).to_pandas()
-            assert dict(zip(out["url"], out["cluster_id"])) == want, budget
+        out = connected_components_distributed(_nodes_ds(u), ray.data.from_arrow(t))
+        assert _labels(out) == {x: u[0] for x in u}
 
-    def test_distributed_star_all_three_round_tiers(self):
-        """A star graph walks every round tier in one run: round 0 is
-        the dense join (frontier=None), round 1 has a 1-node frontier
-        whose min-reduced messages (100 receivers) overflow the budget
-        of 50 (broadcast-msgs + union+groupby fallback), round 2 has a
-        99-node frontier past the budget (dense join again)."""
+    def test_sixty_node_chain_reaches_the_fixpoint(self):
+        """A 60-node chain takes 60 rounds; the distributed path must run
+        to the fixpoint and give the driver path's clusters."""
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.stages.cluster import assign_clusters
+
+        u = [f"k{(37 * i) % 60:02d}" for i in range(60)]  # k00 at one end
+        edges = rd.from_arrow(pa.table({"url_1": u[:-1], "url_2": u[1:]}))
+        mentions = _nodes_ds(u + ["alone"])
+        drv = _labels(assign_clusters(mentions, edges, method="driver"))
+        assert set(drv.values()) == {"k00", "alone"}
+        assert _labels(assign_clusters(mentions, edges, method="distributed")) == drv
+
+    def test_distributed_star(self):
+        """A 100-leaf star: the hub's first message reaches every leaf,
+        and the minimal leaf wins back through the hub."""
         import ray
         import pyarrow as pa
 
@@ -723,15 +822,14 @@ class TestConnectedComponents:
             {"url_1": ["z"] * 100, "url_2": leaves}
         )
         out = connected_components_distributed(
-            ray.data.from_arrow(t), frontier_broadcast_max=50
-        ).to_pandas()
-        want = {x: "a00" for x in leaves + ["z"]}
-        assert dict(zip(out["url"], out["cluster_id"])) == want
+            _nodes_ds(leaves + ["z"]), ray.data.from_arrow(t)
+        )
+        assert _labels(out) == {x: "a00" for x in leaves + ["z"]}
 
     def test_distributed_consumes_edges_once(self):
         """The (possibly lazy) edge dataset's upstream must execute
-        exactly once: the CC loop seeds everything from the materialized
-        neighbor list. Consuming edges twice re-executes the whole fused
+        exactly once: one split pass seeds the partition state.
+        Consuming edges twice re-executes the whole fused
         pair-gen/featurize/score exchange in the streaming production
         path (measured as ~2x flagship CC wall-time at 2M pages)."""
         import ray
@@ -762,12 +860,8 @@ class TestConnectedComponents:
         edges = ray.data.from_arrow(t).map_batches(
             counting, batch_format="pyarrow"
         )
-        out = connected_components_distributed(edges).to_pandas()
-        assert dict(zip(out["url"], out["cluster_id"])) == {
-            "a": "a",
-            "b": "a",
-            "c": "a",
-        }
+        out = connected_components_distributed(_nodes_ds(["a", "b", "c"]), edges)
+        assert _labels(out) == {"a": "a", "b": "a", "c": "a"}
         assert ray.get(counter.get.remote()) == 1
 
     def test_distributed_int_node_ids(self):
@@ -782,9 +876,42 @@ class TestConnectedComponents:
         t = pa.Table.from_pydict(
             {"a": pa.array([1, 2, 10], pa.int64()), "b": pa.array([2, 3, 11], pa.int64())}
         )
-        edges = ray.data.from_arrow(t)
+        nodes = _nodes_ds(pa.array([1, 2, 3, 10, 11, 12], pa.int64()), "doc_id")
         out = connected_components_distributed(
-            edges, edge_cols=("a", "b"), node_col="doc_id", label_col="root"
-        ).to_pandas()
-        got = dict(zip(out["doc_id"], out["root"]))
-        assert got == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10}
+            nodes,
+            ray.data.from_arrow(t),
+            edge_cols=("a", "b"),
+            node_col="doc_id",
+            label_col="root",
+        )
+        got = _labels(out, "doc_id", "root")
+        assert got == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 12: 12}
+
+
+class TestClusterPairs:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pairs_match_brute_force(self, monkeypatch, n):
+        """cluster_pairs gives every within-cluster pair (url_1 < url_2)
+        once, for 1, 2 and 3 partitions; singleton clusters give none."""
+        import itertools
+
+        import pyarrow as pa
+
+        import pubmed_and_method_ray.stages.cluster as cluster
+
+        monkeypatch.setattr(cluster, "shuffle_partitions", lambda *a, **k: n)
+        rng = np.random.default_rng(n)
+        urls = [f"http://h{i % 7}/p{i:03d}" for i in range(120)]
+        cids = [f"c{int(c):02d}" for c in rng.integers(0, 40, len(urls))]
+        cids[:10] = [f"solo{i}" for i in range(10)]
+        order = rng.permutation(len(urls))
+        t = pa.table({"url": [urls[i] for i in order], "cluster_id": [cids[i] for i in order]})
+        members: dict = {}
+        for u, c in zip(urls, cids):
+            members.setdefault(c, []).append(u)
+        want = sorted(
+            p for m in members.values() for p in itertools.combinations(sorted(m), 2)
+        )
+        ds = rd.from_arrow([t.slice(0, 50), t.slice(50)])
+        df = cluster.cluster_pairs(ds).to_pandas()
+        assert sorted(zip(df["url_1"], df["url_2"])) == want

@@ -6,8 +6,9 @@ ran only in sf0.001 unit tests. This soak exercises them at bench scale
 and asserts they agree with the driver paths on the same input:
 
 1. flagship ER at ~2M pages (GRAFT_SOAK_REPEAT=160 x sf0.1 docs) with
-   cc_method='distributed' FORCED — counters (rows, distinct clusters)
-   must match the auto/driver-path run on the identical corpus;
+   cc_method='distributed' FORCED — the sorted (url, cluster_id)
+   assignments must equal the auto/driver-path run's on the identical
+   corpus;
 2. MinHash-LSH with driver_max_pairs=0 (forces the distributed
    groupby-dedup + two-hash-join verify) — row-identical to the
    driver-verify run;
@@ -72,40 +73,30 @@ def main() -> None:
     model = load_pretrained_model_json()
     idf = load_pretrained_idf()
 
-    def er_run(cc_method: str) -> tuple[float, int, int]:
+    def canon(df):
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    def er_run(cc_method: str):
         pages = read_parquet_clean(pages_dir, file_extensions=["parquet"])
         t0 = time.perf_counter()
         res = run_er_pipeline(
             pages, model_json=model, idf=idf, n_max=512,
             evaluate=False, keep_gold=True, cc_method=cc_method,
         )
-        clusters = res["clusters"]
-        n_rows = clusters.count()
-        from pubmed_and_method_ray.rayutil import shuffle_partitions
+        clusters = res["clusters"].select_columns(["url", "cluster_id"]).to_pandas()
+        sec = time.perf_counter() - t0
+        out[f"er_{cc_method}"] = {
+            "sec": round(sec, 2),
+            "rows": len(clusters),
+            "clusters": int(clusters["cluster_id"].nunique()),
+            "pages_per_sec": round(n_pages / sec, 1),
+        }
+        return canon(clusters)
 
-        n_clusters = (
-            clusters.select_columns(["cluster_id"])
-            .groupby("cluster_id", num_partitions=shuffle_partitions())
-            .count()
-            .count()
-        )
-        return time.perf_counter() - t0, int(n_rows), int(n_clusters)
-
-    sec_d, rows_d, k_d = er_run("distributed")
-    sec_a, rows_a, k_a = er_run("auto")
-    out["er_distributed"] = {
-        "sec": round(sec_d, 2), "rows": rows_d, "clusters": k_d,
-        "pages_per_sec": round(n_pages / sec_d, 1),
-    }
-    out["er_auto"] = {
-        "sec": round(sec_a, 2), "rows": rows_a, "clusters": k_a,
-        "pages_per_sec": round(n_pages / sec_a, 1),
-    }
-    assert rows_d == rows_a == n_pages, (rows_d, rows_a, n_pages)
-    assert k_d == k_a, (k_d, k_a)
-
-    def canon(df):
-        return df.sort_values(list(df.columns)).reset_index(drop=True)
+    er_dist = er_run("distributed")
+    er_auto = er_run("auto")
+    assert len(er_auto) == n_pages, (len(er_auto), n_pages)
+    assert er_dist.equals(er_auto), "ER cluster assignments disagree"
 
     t0 = time.perf_counter()
     lsh_dist = canon(dedup.dedup_minhash_lsh(SF_DIR, driver_max_pairs=0).to_pandas())
