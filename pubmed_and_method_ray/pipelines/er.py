@@ -40,7 +40,9 @@ from ..stages.features import (
 )
 from ..stages.mention_prep import extract_stage, fit_idf, normalize_batch
 
-PIPELINE_VERSION = "r2.0"  # r2.0: packed tfidf transport (tfidf_pk+norm)
+# r2.0: packed tfidf transport (tfidf_pk+norm); r2.1: a pretrained model's
+# scored stage keeps only (url_1, url_2, label, score), as a trained one's
+PIPELINE_VERSION = "r2.1"
 
 
 def prepare_mentions(pages_ds, use_tfidf: bool = True, idf_sample_mod: int = 1,
@@ -185,11 +187,13 @@ def run_er_pipeline(
     }
 
     def persist(build, name):
-        """Break lineage once per stage: Parquet checkpoint (resumable)
-        when workdir is set, else pin in the object store. ``build()``
-        returns the stage's Dataset; a stage whose checkpoint is complete
-        resumes without calling it, because building can run eager work
-        (the pair stage's skew census, auto CC's edge collection)."""
+        """Break lineage once per stage: the stage is materialized in the
+        object store, and with workdir set also written as a Parquet
+        checkpoint (resumable) that a cold run does not read back. A
+        stage whose checkpoint is complete resumes as a lazy read of its
+        files without calling ``build()``, because building can run
+        eager work (the pair stage's skew census, auto CC's edge
+        collection)."""
         if workdir:
             stage_dir = os.path.join(workdir, name)
             fp = stage_fps[name]
@@ -274,12 +278,12 @@ def run_er_pipeline(
     }
 
     if evaluate and keep_gold:
-        # one read of scored: pairwise metrics at threshold (reference
-        # metric.py semantics) and the candidate-conditional
-        # co-membership metrics (scored pairs only)
+        # one read of scored (every column: url_1, url_2, label, score):
+        # pairwise metrics at threshold (reference metric.py semantics)
+        # and the candidate-conditional co-membership metrics (scored
+        # pairs only)
         # reindex: Ray makes a Dataset without rows a frame without columns
-        cols = ["url_1", "url_2", "label", "score"]
-        sdf = scored.select_columns(cols).to_pandas().reindex(columns=cols)
+        sdf = scored.to_pandas().reindex(columns=["url_1", "url_2", "label", "score"])
         out["pair_metrics"] = calc_metrics(sdf["label"], sdf["score"], prob=threshold)
         cdf = clusters.to_pandas()
         cluster_of = dict(zip(cdf["url"], cdf["cluster_id"]))

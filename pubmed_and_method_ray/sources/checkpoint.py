@@ -6,7 +6,9 @@ a joblib pickle keyed by existence checks
 Parquet directory plus ``_manifest.json`` carrying the input fingerprint,
 stage version, row count and per-file lineage — a rerun whose fingerprint
 matches skips the stage entirely (north_rule resumability). Writes are
-atomic: tmp dir then ``os.replace``.
+atomic: tmp dir then ``os.replace``. As with the reference's cache, the
+files are read only by a resume: a cold run hands the stage it just
+wrote to the next stage from memory.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import uuid
 import pyarrow as pa
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
-from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
 MANIFEST = "_manifest.json"
@@ -85,45 +86,45 @@ def is_complete(stage_dir: str, fp: str) -> bool:
         return False
 
 
-class _StageSink(Datasink):
-    """``checkpoint``'s writer: each write task writes its blocks to ONE
-    parquet file and returns (file, rows, ``partial(table, task_idx)``,
-    schema); a task without rows writes no file (file None)."""
-
-    def __init__(self, path: str, partial):
-        self.path, self.partial, self.written = path, partial, None
-
-    def write(self, blocks, ctx):
-        # Ray hands on 0-row blocks without columns: they carry nothing
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_columns]
-        if not tables:
-            return None
-        t = pa.concat_tables(tables, promote_options="default")
-        name = f"{ctx.task_idx:06d}.parquet" if t.num_rows else None
-        if name:
-            pq.write_table(t, os.path.join(self.path, name))
-        return name, t.num_rows, self.partial(t, ctx.task_idx), t.schema
-
-    def on_write_complete(self, write_result):
-        self.written = [r for r in write_result.write_returns if r]
+def _write_block(block, path: str, i: int, partial):
+    """``checkpoint``'s write task for block ``i``: writes its rows to
+    ONE parquet file and returns (file, rows, ``partial(table, i)``,
+    schema); a block without rows writes no file (file None)."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    # Ray hands on 0-row blocks without columns: they carry nothing
+    if not t.num_columns:
+        return None
+    name = f"{i:06d}.parquet" if t.num_rows else None
+    if name:
+        pq.write_table(t, os.path.join(path, name))
+    return name, t.num_rows, partial(t, i), t.schema
 
 
 def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
     """Write ``ds`` to ``stage_dir`` (atomic) with a lineage manifest and
-    return a Dataset reading it back. If a complete checkpoint with the
-    same fingerprint exists, skip the write and just read; ``ds`` is not
-    touched then. ``ds=None`` reads back without checking: the caller
-    has found the checkpoint complete (``is_complete``) and so did not
-    build the stage.
+    return the stage. A cold run materializes ``ds``, writes each of its
+    blocks with one plain Ray task and returns the materialized Dataset:
+    the next stage reads the written blocks from memory, not the files.
+    They stay in the object store while the caller holds the Dataset
+    (Ray spills them past the store's size), as an uncheckpointed
+    ``materialize()`` keeps them.
+
+    Only a resume reads Parquet back: if a complete checkpoint with the
+    same fingerprint exists, skip the write and return a lazy read of
+    the files; ``ds`` is not touched then. ``ds=None`` reads back
+    without checking: the caller has found the checkpoint complete
+    (``is_complete``) and so did not build the stage.
 
     The manifest's files, rows and counters come back from the write
     tasks; nothing re-reads the files for them. ``summary = (partial,
-    merge)`` adds golden counters a resumed run can assert: write task
-    i returns ``partial(table, i)`` (small in all; i is unique), and the
-    driver calls ``merge(partials, read) -> dict``, partials in no fixed
-    order; ``read()`` reads the written files, for what partials cannot
-    count. A stage without rows is one 0-row file with its schema."""
+    merge)`` adds golden counters a resumed run can assert: the task of
+    block i returns ``partial(table, i)`` (small in all; i is unique),
+    and the driver calls ``merge(partials, read) -> dict``, partials in
+    no fixed order; ``read()`` reads the written files, for what
+    partials cannot count. A stage without rows is one 0-row file with
+    its schema."""
+    import ray
+
     from .io import read_parquet_clean
 
     if ds is None or is_complete(stage_dir, fp):
@@ -133,14 +134,17 @@ def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
     shutil.rmtree(tmp_dir, ignore_errors=True)
     os.makedirs(tmp_dir)
     partial, merge = summary or (lambda t, i: None, None)
-    sink = _StageSink(tmp_dir, partial)
-    ds.write_datasink(sink)
-    files = {name: n for name, n, _, _ in sink.written if name}
+    ds = ds.materialize()
+    write = ray.remote(_write_block)
+    blocks = [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    refs = [write.remote(ref, tmp_dir, i, partial) for i, ref in enumerate(blocks)]
+    written = [r for r in ray.get(refs) if r]
+    files = {name: n for name, n, _, _ in written if name}
     if not files:
-        schema = sink.written[0][3] if sink.written else pa.schema([])
+        schema = written[0][3] if written else pa.schema([])
         pq.write_table(schema.empty_table(), os.path.join(tmp_dir, "empty.parquet"))
         files = {"empty.parquet": 0}
-    parts = [part for _, _, part, _ in sink.written]
+    parts = [part for _, _, part, _ in written]
     counters = merge(parts, lambda: read_parquet_clean(tmp_dir)) if merge else {}
     man = {
         "stage": stage_name,
@@ -155,7 +159,7 @@ def checkpoint(ds, stage_dir: str, stage_name: str, fp: str, summary=None):
         json.dump(man, f, indent=1)
     shutil.rmtree(stage_dir, ignore_errors=True)
     os.replace(tmp_dir, stage_dir)
-    return read_parquet_clean(stage_dir, file_extensions=["parquet"])
+    return ds
 
 
 def read_manifest(stage_dir: str) -> dict | None:

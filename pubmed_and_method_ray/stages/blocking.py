@@ -597,11 +597,12 @@ def make_features_bucket(
     idf_ref=None,
 ) -> pa.Table:
     """Fused pair-gen + featurization (+ optional scoring): emits
-    (url_1, url_2, label?, feature columns[, score]) directly from the
-    bucket's mention rows — the 16KB-per-pair payload rows of
-    make_pairs_bucket never exist (SURVEY.md §7.4 'wide pair rows').
-    With a broadcast ``model_ref`` the GBT scores in the same task
-    (production path: one exchange, one pass, pairs -> scored edges).
+    (url_1, url_2, label?, feature columns) directly from the bucket's
+    mention rows — the 16KB-per-pair payload rows of make_pairs_bucket
+    never exist (SURVEY.md §7.4 'wide pair rows'). With a broadcast
+    ``model_ref`` the GBT scores in the same task (production path: one
+    exchange, one pass, pairs -> scored edges) and the rows are
+    (url_1, url_2, label?, score), as the trained path's scored stage.
 
     ``prune_hamming``: the classic ER cascade's cheap filter — candidate
     pairs whose full-64-bit simhash Hamming distance exceeds it are
@@ -640,7 +641,9 @@ def make_features_bucket(
             group, left_idx, right_idx, sizes, labels, idf=idf
         )
     if model_ref is not None:
-        out = append_scores(out, model_from_ref(model_ref))
+        out = append_scores(out, model_from_ref(model_ref)).select(
+            ["url_1", "url_2", *(["label"] if with_label else []), "score"]
+        )
     return out
 
 
@@ -665,9 +668,10 @@ def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
 
     from ..rayutil import keyed_exchange, known_size
 
-    # sized alike for a materialized input (no workdir) and a
-    # checkpoint's parquet read-back (workdir): both bucket counts and
-    # the census merge path come from metadata, without executing
+    # sized alike for a materialized input (no workdir, or a cold
+    # checkpoint) and a checkpoint's parquet read-back (a resume): both
+    # bucket counts and the census merge path come from metadata,
+    # without executing
     n_rows, n_bytes = known_size(mentions_ds)
     n_buckets = n_pair_buckets(n_rows=n_rows, n_bytes=n_bytes)
 
@@ -721,9 +725,9 @@ def generate_pair_features(
 ):
     """mentions -> per-pair FEATURE rows directly (fused pair-gen +
     featurize; wide pair payloads never materialize). With ``model_ref``
-    the rows come back scored too. ``prune_hamming``: see
-    make_features_bucket (cheap cascade filter; default off — opt in
-    from corpus-tuned entrypoints)."""
+    the rows come back scored instead: (url_1, url_2, label?, score).
+    ``prune_hamming``: see make_features_bucket (cheap cascade filter;
+    default off — opt in from corpus-tuned entrypoints)."""
     return _keyed_buckets(mentions_ds, n_max, keep_gold).map_batches(
         lambda g: make_features_bucket(
             g,

@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 from ..functions.hashing import fnv64_arrow, splitmix64
 from ..rayutil import (
@@ -260,26 +261,28 @@ def assign_clusters(
     """mentions + match edges -> Dataset (url, cluster_id); nodes without
     any match edge become singleton clusters (cluster_id = own url)."""
     if method in ("auto", "driver"):
-        # single streaming pass: collect edge batches as ARROW chunks (no
-        # per-string Python objects); ``auto`` falls back to the
-        # distributed path only if the driver budget overflows
-        budget = driver_max_edges if method == "auto" else float("inf")
-        collected = []
-        n_edges = 0
-        for b in edges_ds.iter_batches(batch_format="pyarrow", batch_size=65536):
-            collected.append(b.select(["url_1", "url_2"]))
-            n_edges += b.num_rows
-            if n_edges > budget:
-                collected = None
-                break
-        method = "driver" if collected is not None else "distributed"
+        # one pass over the edge upstream for its block refs and row
+        # counts; past the budget the distributed path gets these same
+        # blocks, so the upstream (the fused pair exchange, when
+        # streaming) does not run again
+        refs, n_edges = [], 0
+        for bundle in edges_ds.iter_internal_ref_bundles():
+            refs.extend(bundle.block_refs)
+            n_edges += bundle.num_rows()
+        if method == "auto" and n_edges > driver_max_edges:
+            method, edges_ds = "distributed", rd.from_arrow_refs(refs)
+        else:
+            method = "driver"
 
     if method != "driver":
         return connected_components_distributed(mentions_ds, edges_ds)
 
+    # edges as ARROW chunks (no per-string Python objects)
     empty = pa.array([], pa.string())
+    blocks = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
     edges = pa.concat_tables(
-        [pa.table({"url_1": empty, "url_2": empty}), *collected],
+        [pa.table({"url_1": empty, "url_2": empty})]
+        + [t.select(["url_1", "url_2"]) for t in blocks if t.num_rows],
         promote_options="default",
     )
     mapping = ray.put(

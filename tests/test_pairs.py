@@ -344,12 +344,11 @@ class TestSkewCensus:
 
 def _checkpoint_read_back(mentions, stage_dir):
     """Write ``mentions`` as a stage checkpoint (three files) and return
-    the checkpoint's lazy parquet read-back."""
+    the checkpoint's lazy parquet read-back, as a resume gets it."""
     from pubmed_and_method_ray.sources import checkpoint as ckpt
 
-    return ckpt.checkpoint(
-        rd.from_arrow(mentions).repartition(3), stage_dir, "mentions", "fp"
-    )
+    ckpt.checkpoint(rd.from_arrow(mentions).repartition(3), stage_dir, "mentions", "fp")
+    return ckpt.checkpoint(None, stage_dir, "mentions", "fp")
 
 
 class TestKnownSize:

@@ -66,6 +66,10 @@ class TestEndToEnd:
 
     def test_scores_deterministic(self, pages, result):
         out2 = run_er_pipeline(pages, n_max=256, model_json=result["model_json"])
+        # the fused pretrained path writes the trained path's scored schema
+        trained, pretrained = result["scored"].schema(), out2["scored"].schema()
+        assert pretrained.names == trained.names == ["url_1", "url_2", "label", "score"]
+        assert pretrained.types == trained.types
         a = (
             result["scored"]
             .select_columns(["url_1", "url_2", "score"])
@@ -361,17 +365,24 @@ class TestWriteTaskCounters:
     """The manifest facts come back from the checkpoint write tasks: a
     cold run re-reads no stage for bookkeeping."""
 
-    def test_cold_run_reads_each_stage_back_once(
-        self, pages_file, result, tmp_path_factory, monkeypatch
-    ):
+    def test_cold_run_reads_no_stage_back(self, pages_file, tmp_path_factory, monkeypatch):
+        """A cold, evaluated run hands each checkpointed stage on from
+        memory: no stage dir is read and no footer opened, and with a
+        given model and idf it starts 7 Ray Data plans (mention prep,
+        census, pair keys, fused pair score, edges, cluster assign,
+        eval's mention projection). A resume of the same workdir reads
+        each stage back once."""
         import collections
 
         import pyarrow.parquet as pq
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
         from pubmed_and_method_ray.sources import io
+        from pubmed_and_method_ray.state import load_pretrained_idf, load_pretrained_model_json
 
-        reads, footers = collections.Counter(), []
+        reads, footers, plans = collections.Counter(), [], []
         real_read, real_meta = io.read_parquet_clean, pq.read_metadata
+        real_execute = StreamingExecutor.execute
 
         def counting_read(paths, **kw):
             reads[paths] += 1
@@ -381,16 +392,29 @@ class TestWriteTaskCounters:
             footers.append(a)
             return real_meta(*a, **kw)
 
+        def counting_execute(self, dag, *a, **kw):
+            plans.append(str(dag))
+            return real_execute(self, dag, *a, **kw)
+
         monkeypatch.setattr(io, "read_parquet_clean", counting_read)
         monkeypatch.setattr(pq, "read_metadata", counting_meta)
+        monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
         workdir = str(tmp_path_factory.mktemp("ckpt_reads"))
-        out = run_er_pipeline(
-            pages_file, n_max=256, workdir=workdir, model_json=result["model_json"]
+        kw = dict(
+            n_max=256, workdir=workdir, model_json=load_pretrained_model_json(),
+            idf=load_pretrained_idf(),
         )
+        out = run_er_pipeline(pages_file, **kw)
+        n_clustered = len(out["clusters"].to_pandas())
+        assert len(plans) <= 7, plans
+        assert reads == {} and footers == []
+        assert n_clustered == pages_file.count()
         assert out["cluster_metrics"]["f1"] > 0.9
+
+        again = run_er_pipeline(pages_file, **kw)
         stages = ("mentions", "scored", "clusters")
         assert reads == {os.path.join(workdir, s): 1 for s in stages}
-        assert footers == []
+        assert again["cluster_metrics"] == out["cluster_metrics"]
 
     @pytest.mark.parametrize("cc_method", ["driver", "distributed"])
     def test_counters_match_read_back(self, pages, result, tmp_path_factory, cc_method):
@@ -479,13 +503,74 @@ class TestWriteTaskCounters:
             }
         )
         stage_dir = str(tmp_path / "scored")
-        read_back = ckpt.checkpoint(
+        stage = ckpt.checkpoint(
             rd.from_arrow(t), stage_dir, "scored", "fp",
             summary=er._stage_counters("scored", 0.5),
         )
         man = ckpt.read_manifest(stage_dir)
         assert man["counters"] == {"pairs": 4, "match_edges": 1}
-        assert edges_from_scores(read_back, threshold=0.5).count() == 1
+        assert edges_from_scores(stage, threshold=0.5).count() == 1
+
+
+def _record_stages(monkeypatch):
+    """Wrap ``ckpt.checkpoint`` (looked up through its module) to keep
+    each stage's returned Dataset by stage dir."""
+    returned, real = {}, ckpt.checkpoint
+
+    def recording(ds, stage_dir, *a, **kw):
+        returned[stage_dir] = out = real(ds, stage_dir, *a, **kw)
+        return out
+
+    monkeypatch.setattr(ckpt, "checkpoint", recording)
+    return returned
+
+
+def _assert_memory_equals_files(ds, stage_dir, keys):
+    """The rows a cold checkpoint hands on equal the rows it wrote."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    files = pq.read_table(stage_dir)
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+    if not tables:  # Ray keeps a stage without rows as column-less blocks
+        assert files.num_rows == 0
+        return
+    mem = pa.concat_tables(tables)
+    assert mem.num_rows == files.num_rows
+    assert mem.sort_by([(k, "ascending") for k in keys]).equals(
+        files.sort_by([(k, "ascending") for k in keys])
+    )
+
+
+_STAGE_KEYS = {
+    "mentions": ["url"],
+    "features": ["url_1", "url_2"],
+    "scored": ["url_1", "url_2"],
+    "clusters": ["url"],
+}
+
+
+class TestColdCheckpointInMemory:
+    """A cold checkpoint returns its materialized stage, not a read of
+    the files: memory and disk are two copies of one stage."""
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["pretrained", "trained"])
+    def test_returned_stage_equals_its_files(
+        self, pages, result, tmp_path_factory, monkeypatch, trained
+    ):
+        returned = _record_stages(monkeypatch)
+        workdir = str(tmp_path_factory.mktemp("ckpt_in_memory"))
+        model = None if trained else result["model_json"]
+        out = run_er_pipeline(
+            pages, n_max=256, workdir=workdir, model_json=model, evaluate=False
+        )
+        stages = ["mentions", "scored", "clusters"] + (["features"] if trained else [])
+        assert sorted(returned) == sorted(os.path.join(workdir, s) for s in stages)
+        for name in stages:
+            stage_dir = os.path.join(workdir, name)
+            _assert_memory_equals_files(returned[stage_dir], stage_dir, _STAGE_KEYS[name])
+        assert out["clusters"] is returned[os.path.join(workdir, "clusters")]
 
 
 class TestNoCandidatePairs:
@@ -509,7 +594,9 @@ class TestNoCandidatePairs:
         pq.write_table(t, os.path.join(d, "pages.parquet"))
         return read_parquet_clean(d, file_extensions=["parquet"])
 
-    def test_singletons_with_and_without_workdir(self, pages22, tmp_path_factory):
+    def test_singletons_with_and_without_workdir(
+        self, pages22, tmp_path_factory, monkeypatch
+    ):
         from pubmed_and_method_ray.state import (
             load_pretrained_idf,
             load_pretrained_model_json,
@@ -519,10 +606,15 @@ class TestNoCandidatePairs:
             model_json=load_pretrained_model_json(), idf=load_pretrained_idf(), n_max=64
         )
         workdir = str(tmp_path_factory.mktemp("ckpt_empty"))
+        returned = _record_stages(monkeypatch)
         runs = [
             run_er_pipeline(pages22, **kw),
             run_er_pipeline(pages22, workdir=workdir, **kw),
         ]
+        # the cold run hands on what it wrote, the 0-row scored stage too
+        for name in ("mentions", "scored", "clusters"):
+            stage_dir = os.path.join(workdir, name)
+            _assert_memory_equals_files(returned[stage_dir], stage_dir, _STAGE_KEYS[name])
         man = ckpt.read_manifest(os.path.join(workdir, "scored"))
         assert man["rows"] == 0 and man["counters"] == {"pairs": 0, "match_edges": 0}
         runs.append(run_er_pipeline(pages22, workdir=workdir, **kw))  # resume
@@ -675,6 +767,33 @@ def _nodes_ds(nodes, col="url"):
 def _labels(ds, node_col="url", label_col="cluster_id"):
     df = ds.to_pandas()
     return dict(zip(df[node_col], df[label_col]))
+
+
+def _counting_edges(cols):
+    """A lazy one-block edge Dataset whose upstream ``map_batches``
+    counts its runs, and a callable that returns that count."""
+    import ray
+    import pyarrow as pa
+
+    @ray.remote
+    class Counter:
+        def __init__(self):
+            self.n = 0
+
+        def inc(self):
+            self.n += 1
+
+        def get(self):
+            return self.n
+
+    counter = Counter.remote()
+
+    def counting(batch: pa.Table) -> pa.Table:
+        ray.get(counter.inc.remote())
+        return batch
+
+    edges = ray.data.from_arrow(pa.table(cols)).map_batches(counting, batch_format="pyarrow")
+    return edges, lambda: ray.get(counter.get.remote())
 
 
 class TestConnectedComponents:
@@ -832,37 +951,27 @@ class TestConnectedComponents:
         Consuming edges twice re-executes the whole fused
         pair-gen/featurize/score exchange in the streaming production
         path (measured as ~2x flagship CC wall-time at 2M pages)."""
-        import ray
-        import pyarrow as pa
-
         from pubmed_and_method_ray.stages.cluster import (
             connected_components_distributed,
         )
 
-        @ray.remote
-        class Counter:
-            def __init__(self):
-                self.n = 0
-
-            def inc(self):
-                self.n += 1
-
-            def get(self):
-                return self.n
-
-        counter = Counter.remote()
-        t = pa.table({"url_1": ["a", "b"], "url_2": ["b", "c"]})
-
-        def counting(batch: pa.Table) -> pa.Table:
-            ray.get(counter.inc.remote())
-            return batch
-
-        edges = ray.data.from_arrow(t).map_batches(
-            counting, batch_format="pyarrow"
-        )
+        edges, runs = _counting_edges({"url_1": ["a", "b"], "url_2": ["b", "c"]})
         out = connected_components_distributed(_nodes_ds(["a", "b", "c"]), edges)
         assert _labels(out) == {"a": "a", "b": "a", "c": "a"}
-        assert ray.get(counter.get.remote()) == 1
+        assert runs() == 1
+
+    def test_auto_over_budget_runs_edges_once(self):
+        """``auto`` past ``driver_max_edges`` hands the blocks it counted
+        to the distributed path: the lazy edge upstream runs once, not
+        once to count and again to cluster."""
+        from pubmed_and_method_ray.stages.cluster import assign_clusters
+
+        edges, runs = _counting_edges({"url_1": ["a", "b", "d"], "url_2": ["b", "c", "e"]})
+        nodes = _nodes_ds(["a", "b", "c", "d", "e", "f"])
+        out = assign_clusters(nodes, edges, method="auto", driver_max_edges=1)
+        want = {"a": "a", "b": "a", "c": "a", "d": "d", "e": "d", "f": "f"}
+        assert _labels(out) == want
+        assert runs() == 1
 
     def test_distributed_int_node_ids(self):
         """Generic edge/node columns: int64 doc ids instead of url strings."""

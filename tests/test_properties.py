@@ -191,9 +191,9 @@ class TestVectorizedPairKernels:
     )
     @settings(max_examples=80, deadline=None)
     def test_pairwise_jaccard_matches_scalar(self, rows, dtype, data):
-        # uint64 exercises the per-run searchsorted fallback; uint32 the
-        # packed run-tagged global-searchsorted fast path (the hot
-        # mention token/shingle columns are uint32)
+        # both element types the kernel sees: uint64, and uint32 (the
+        # hot mention token/shingle columns); each runs the same
+        # per-left-run searchsorted loop
         import pyarrow as pa
 
         from pubmed_and_method_ray.stages.features import (
@@ -235,8 +235,8 @@ class TestVectorizedPairKernels:
     )
     @settings(max_examples=80, deadline=None)
     def test_pairwise_sparse_dot_matches_scalar(self, rows, dtype, data):
-        # int64 exercises the per-run fallback; uint32 the packed
-        # fast path (the real unpacked tfidf index values are uint32)
+        # both index types the kernel sees: int64, and uint32 (the
+        # unpacked tfidf index values); each runs the per-left-run loop
         import pyarrow as pa
 
         from pubmed_and_method_ray.stages.features import (
