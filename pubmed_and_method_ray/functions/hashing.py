@@ -59,19 +59,22 @@ _U = np.uint64
 
 def splitmix64(x: np.ndarray | int):
     """Vectorized splitmix64 finalizer — cheap avalanche for integer keys.
-    uint64 multiplication wraps mod 2^64 by design. Inputs always go
-    through ARRAY ops (scalars promoted to 1-element arrays): numpy only
-    emits overflow warnings for scalar uint ops, so no errstate context
-    is needed — a per-call context manager costs more than the hash
-    itself on small arrays."""
-    arr = np.asarray(x, dtype=np.uint64)
+    uint64 addition and multiplication wrap mod 2^64 by design, so no
+    mask is needed; every step runs in place on one fresh copy of the
+    input. Inputs always go through ARRAY ops (scalars promoted to
+    1-element arrays): numpy only emits overflow warnings for scalar uint
+    ops, so no errstate context is needed — a per-call context manager
+    costs more than the hash itself on small arrays."""
+    arr = np.array(x, dtype=np.uint64)
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
-    arr = (arr + _U(_SM_GAMMA)) & _U(MASK64)
-    arr = ((arr ^ (arr >> _U(30))) * _U(_SM_M1)) & _U(MASK64)
-    arr = ((arr ^ (arr >> _U(27))) * _U(_SM_M2)) & _U(MASK64)
-    arr = arr ^ (arr >> _U(31))
+    arr += _U(_SM_GAMMA)
+    arr ^= arr >> _U(30)
+    arr *= _U(_SM_M1)
+    arr ^= arr >> _U(27)
+    arr *= _U(_SM_M2)
+    arr ^= arr >> _U(31)
     return arr[0] if scalar else arr
 
 

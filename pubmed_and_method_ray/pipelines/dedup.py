@@ -16,15 +16,18 @@ between Ray and DuckDB.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from ..rayutil import (
-    join_partitions,
+    _merge_part,
+    _split_by_part,
     keyed_exchange,
     shuffle_partitions,
     sized_partitions,
+    split_blocks,
 )
 
 
@@ -501,35 +504,31 @@ def _count_pairs(pairs, n_parts: int, count_col: str):
     )
 
 
+def _segment_pairs(segments, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_bucket_segments`` output -> (lo, hi) doc ids of every pair in
+    each bucket with 2..n_max members, self-pairs dropped (one
+    ``run_pairs`` expansion over all buckets)."""
+    from ..stages.features import run_pairs
+
+    order, bounds, ids = segments
+    sizes = np.diff(bounds)
+    pick = (sizes >= 2) & (sizes <= n_max)
+    gi, gj = run_pairs(bounds[:-1][pick], sizes[pick])
+    a, b = ids[order[gi]], ids[order[gj]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo != hi
+    return lo[keep], hi[keep]
+
+
 def _direct_bucket_pairs(t: pa.Table, n_max: int) -> pa.Table:
     """Candidate pairs for every bucket with 2..n_max members (whole
     buckets are co-located by the band_key exchange). Buckets larger
     than n_max are handled by the salted overflow exchange."""
     if t.num_rows == 0:
         return _EMPTY_PAIRS
-    t = t.combine_chunks()
-    order, bounds, ids = _bucket_segments(t)
-    gis, gjs = [], []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        n = s1 - s0
-        if n < 2 or n > n_max:
-            continue
-        seg = order[s0:s1]
-        iu, ju = np.triu_indices(n, k=1)
-        gis.append(seg[iu])
-        gjs.append(seg[ju])
-    if not gis:
-        return _EMPTY_PAIRS
-    gi = np.concatenate(gis)
-    gj = np.concatenate(gjs)
-    lo = np.minimum(ids[gi], ids[gj])
-    hi = np.maximum(ids[gi], ids[gj])
-    keep = lo != hi
+    lo, hi = _segment_pairs(_bucket_segments(t.combine_chunks()), n_max)
     return pa.Table.from_pydict(
-        {
-            "doc_id1": pa.array(lo[keep], pa.int64()),
-            "doc_id2": pa.array(hi[keep], pa.int64()),
-        }
+        {"doc_id1": pa.array(lo, pa.int64()), "doc_id2": pa.array(hi, pa.int64())}
     )
 
 
@@ -632,6 +631,11 @@ def _salted_segment_pairs(t: pa.Table) -> pa.Table:
     )
 
 
+_VERIFIED_SCHEMA = pa.schema(
+    [("doc_id1", pa.int64()), ("doc_id2", pa.int64()), ("jaccard", pa.float64())]
+)
+
+
 def _verify_pairs_driver(pairs: np.ndarray, sketches, threshold: float):
     """Verify a DRIVER-SIZED candidate set: broadcast the needed doc-id
     set, filter the sketch dataset down to those docs (no exchange),
@@ -641,15 +645,7 @@ def _verify_pairs_driver(pairs: np.ndarray, sketches, threshold: float):
     import ray.data as rd
 
     if not len(pairs):
-        return rd.from_arrow(
-            pa.Table.from_pydict(
-                {
-                    "doc_id1": pa.array([], pa.int64()),
-                    "doc_id2": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        )
+        return rd.from_arrow(_VERIFIED_SCHEMA.empty_table())
     needed = np.unique(pairs)
     ref = ray.put(needed)
 
@@ -695,53 +691,103 @@ def _verify_pairs_driver(pairs: np.ndarray, sketches, threshold: float):
     )
 
 
-def _verify_pairs_join(pairs_ds, sketches, threshold: float):
-    """Scale-path verify: two hash joins against the sketch dataset —
-    each doc's sketch crosses the wire exactly twice (vs once per band
-    in round 2). ``pairs_ds`` must already be deduped."""
+def _sketch_rows(slices, ids: np.ndarray):
+    """Look ``ids`` up in one partition's sketch slices (doc_id, sh):
+    returns (hit mask over ``ids``, the hits' sketch rows, sketch element
+    offsets, flat uint64 values). A doc id has one sketch row."""
+    sk = _merge_part(pa.table({}), *slices)
+    if not sk.num_rows or not len(ids):
+        z = np.empty(0, np.int64)
+        return np.zeros(len(ids), bool), z, np.zeros(1, np.int64), np.empty(0, np.uint64)
+    sk_ids = np.asarray(sk["doc_id"].to_numpy(zero_copy_only=False), np.int64)
+    srt = np.argsort(sk_ids, kind="stable")
+    pos = np.minimum(np.searchsorted(sk_ids[srt], ids), len(srt) - 1)
+    hit = sk_ids[srt[pos]] == ids
+    off, vals = _binary_to_u64_rows(sk["sh"])
+    return hit, srt[pos[hit]], off, vals
 
-    def rename(new_id: str, new_sh: str):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.select(["doc_id", "sh"]).rename_columns([new_id, new_sh])
 
-        return fn
+def _verify_round1(n_parts: int, n_pair_slices: int, *slices):
+    """Verify round 1, one task per doc_id1 partition: dedupe the
+    partition's candidate pairs (every copy of a pair shares its
+    doc_id1), attach doc_id1's sketch as ``sh1`` and split the result by
+    doc_id2's partition."""
+    from ..stages.cluster import _node_parts
+    from ..stages.features import gather_list_rows
 
-    left = sketches.map_batches(rename("doc_id1", "sh1"), batch_format="pyarrow")
-    right = sketches.map_batches(rename("doc_id2", "sh2"), batch_format="pyarrow")
-    joined = pairs_ds.join(
-        left, join_type="inner", on=("doc_id1",), num_partitions=join_partitions()
-    ).join(
-        right, join_type="inner", on=("doc_id2",), num_partitions=join_partitions()
+    pairs = _merge_part(pa.table({}), *slices[:n_pair_slices])
+    if pairs.num_rows:
+        lo = np.asarray(pairs["doc_id1"].to_numpy(zero_copy_only=False), np.int64)
+        hi = np.asarray(pairs["doc_id2"].to_numpy(zero_copy_only=False), np.int64)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        first = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
+        lo, hi = lo[first], hi[first]
+    else:
+        lo = hi = np.empty(0, np.int64)
+    hit, rows, off, vals = _sketch_rows(slices[n_pair_slices:], lo)
+    flat, lens = gather_list_rows(off, vals, rows)
+    lo, hi = lo[hit], hi[hit]
+    out = pa.table(
+        {
+            "doc_id1": pa.array(lo, pa.int64()),
+            "doc_id2": pa.array(hi, pa.int64()),
+            "sh1": _u64_rows_to_binary(np.r_[0, np.cumsum(lens)], flat),
+            "part": pa.array(_node_parts(pa.array(hi, pa.int64()), n_parts)),
+        }
+    )
+    return _split_by_part(out, "part", n_parts)
+
+
+def _verify_round2(threshold: float, n_pair_slices: int, *slices) -> pa.Table:
+    """Verify round 2, one task per doc_id2 partition: look doc_id2's
+    sketch up in the partition's sketch slices and keep the pairs whose
+    shingle jaccard reaches ``threshold``."""
+    from ..stages.features import pairwise_jaccard
+
+    pairs = _merge_part(pa.table({}), *slices[:n_pair_slices])
+    if not pairs.num_rows:
+        return _VERIFIED_SCHEMA.empty_table()
+    hi = np.asarray(pairs["doc_id2"].to_numpy(zero_copy_only=False), np.int64)
+    hit, rows, off, vals = _sketch_rows(slices[n_pair_slices:], hi)
+    off1, vals1 = _binary_to_u64_rows(pairs["sh1"])
+    idx = np.flatnonzero(hit)
+    jac = pairwise_jaccard(off1, vals1, idx, off, vals, rows)
+    ok = jac >= threshold
+    kt = pa.array(idx[ok], pa.int64())
+    return pa.table(
+        {
+            "doc_id1": pairs["doc_id1"].take(kt),
+            "doc_id2": pairs["doc_id2"].take(kt),
+            "jaccard": pa.array(jac[ok], pa.float64()),
+        },
+        schema=_VERIFIED_SCHEMA,
     )
 
-    def verify(t: pa.Table) -> pa.Table:
-        from ..stages.features import pairwise_jaccard
 
-        t = t.combine_chunks()
-        n = t.num_rows
-        if n == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id1": pa.array([], pa.int64()),
-                    "doc_id2": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        off1, vals1 = _binary_to_u64_rows(t["sh1"])
-        off2, vals2 = _binary_to_u64_rows(t["sh2"])
-        idx = np.arange(n, dtype=np.int64)
-        jac = pairwise_jaccard(off1, vals1, idx, off2, vals2, idx)
-        keep = jac >= threshold
-        kt = pa.array(np.nonzero(keep)[0], pa.int64())
-        return pa.Table.from_pydict(
-            {
-                "doc_id1": t["doc_id1"].take(kt),
-                "doc_id2": t["doc_id2"].take(kt),
-                "jaccard": pa.array(jac[keep], pa.float64()),
-            }
-        )
+def _verify_pairs_exchange(cands, sketches, threshold: float):
+    """Scale-path verify on plain tasks (``rayutil.split_blocks``), no
+    join actors. The sketches split ONCE by doc id; the candidate pairs
+    split by doc_id1, and round 1 dedupes them and attaches ``sh1``; its
+    output splits by doc_id2, and round 2 looks doc_id2's sketch up in
+    the same sketch slices and runs ``pairwise_jaccard``. A doc's sketch
+    crosses the wire once per distinct pair it leads."""
+    import ray
+    import ray.data as rd
 
-    return joined.map_batches(verify, batch_format="pyarrow")
+    from ..stages.cluster import _with_part
+
+    n = shuffle_partitions()
+    sk_parts = split_blocks(sketches, "part", n, partial(_with_part, col="doc_id", n_parts=n))
+    pair_parts = split_blocks(cands, "part", n, partial(_with_part, col="doc_id1", n_parts=n))
+    round1 = ray.remote(_verify_round1).options(num_returns=n)
+    r1 = [round1.remote(n, len(c), *c, *s) for c, s in zip(pair_parts, sk_parts)]
+    if n == 1:
+        r1 = [[r] for r in r1]
+    round2 = ray.remote(_verify_round2)
+    return rd.from_arrow_refs(
+        [round2.remote(threshold, len(r1), *[r[p] for r in r1], *sk_parts[p]) for p in range(n)]
+    )
 
 
 def dedup_minhash_lsh(
@@ -756,9 +802,9 @@ def dedup_minhash_lsh(
     """MinHash-LSH near-dup over token 3-shingles ->
     (doc_id1, doc_id2, jaccard >= threshold), each verified pair once.
 
-    Scale shape (one exchange in the common case; every exchange is a
-    ``rayutil.keyed_exchange`` of plain tasks, so no actor starts before
-    the verify joins):
+    Scale shape (one exchange in the common case; every exchange runs on
+    plain tasks, ``rayutil.keyed_exchange`` or ``split_blocks``, so no
+    actor starts):
     1. ONE fused task pass sketches + bands each doc (payloads stay in
        the materialized parent, never enter an exchange).
     2. ONE keyed exchange on a hash of ``band_key`` co-locates
@@ -769,9 +815,9 @@ def dedup_minhash_lsh(
        of (band_key, sa, sb), that only runs when a mega-bucket exists.
     4. Verify is budget-guarded: ≤ driver_max_pairs dedupes + verifies
        via one broadcast-filtered gather and a single vectorized
-       multi-pair jaccard; past the budget it dedupes candidates through
-       the pair-keyed exchange of ``_count_pairs`` and verifies with two
-       hash joins against the sketches.
+       multi-pair jaccard; past the budget two task rounds keyed on
+       doc_id1, then doc_id2, dedupe and verify them against the
+       sketches (``_verify_pairs_exchange``).
 
     Small-input fast path (same contract as ``rayutil.sized_groupby_agg``
     — forced-path parity tested): when the band table is driver-sized
@@ -808,25 +854,12 @@ def dedup_minhash_lsh(
             return _verify_pairs_driver(
                 np.empty((0, 2), np.int64), sketches, threshold
             )
-        _, bounds, _ = _bucket_segments(band_tab)
-        sizes = np.diff(bounds)
+        segments = _bucket_segments(band_tab)
+        sizes = np.diff(segments[1])
         est_pairs = int(np.sum(sizes * (sizes - 1) // 2))
         if est_pairs <= driver_max_pairs:
-            ptab = _direct_bucket_pairs(band_tab, n_max=band_tab.num_rows)
-            pairs = (
-                np.unique(
-                    np.stack(
-                        [
-                            ptab["doc_id1"].to_numpy(zero_copy_only=False),
-                            ptab["doc_id2"].to_numpy(zero_copy_only=False),
-                        ],
-                        axis=1,
-                    ),
-                    axis=0,
-                )
-                if ptab.num_rows
-                else np.empty((0, 2), np.int64)
-            )
+            lo, hi = _segment_pairs(segments, n_max=band_tab.num_rows)
+            pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
             return _verify_pairs_driver(pairs, sketches, threshold)
         # est_pairs over budget (mega-bucket in a small input): fall
         # through to the salted exchange construction below.
@@ -896,8 +929,7 @@ def dedup_minhash_lsh(
         )
         return _verify_pairs_driver(pairs, sketches, threshold)
 
-    deduped = _count_pairs(cands, shuffle_partitions(), "_nb").drop_columns(["_nb"])
-    return _verify_pairs_join(deduped, sketches, threshold)
+    return _verify_pairs_exchange(cands, sketches, threshold)
 
 
 def dedup_canonical_docs(
@@ -1219,30 +1251,23 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
         )
 
     def gram_group_pairs(t: pa.Table) -> pa.Table:
+        from ..stages.features import run_pairs
+
         tt = t.combine_chunks()
         g = np.asarray(tt["gram"].to_numpy(zero_copy_only=False), np.uint64)
         d = np.asarray(tt["doc_id"].to_numpy(zero_copy_only=False), np.int64)
         order = np.lexsort((d, g))
-        g, d = g[order], d[order]
-        bound = np.empty(len(g), dtype=bool)
-        o1, o2 = [], []
-        if len(g):
-            bound[0] = True
-            bound[1:] = g[1:] != g[:-1]
-            starts = np.flatnonzero(bound)
-            sizes = np.diff(np.append(starts, len(g)))
-            for s, n in zip(starts, sizes):
-                if 2 <= n <= n_max:
-                    seg = d[s : s + n]  # ascending within the gram run
-                    ii, jj = np.triu_indices(n, k=1)
-                    o1.append(seg[ii])
-                    o2.append(seg[jj])
-        if not o1:
+        g, d = g[order], d[order]  # doc ids ascend within a gram run
+        starts = np.flatnonzero(np.r_[len(g) > 0, g[1:] != g[:-1]])
+        sizes = np.diff(np.append(starts, len(g)))
+        pick = (sizes >= 2) & (sizes <= n_max)
+        ii, jj = run_pairs(starts[pick], sizes[pick])
+        if not len(ii):
             return _EMPTY_PAIRS
         return pa.Table.from_pydict(
             {
-                "doc_id1": pa.array(np.concatenate(o1), pa.int64()),
-                "doc_id2": pa.array(np.concatenate(o2), pa.int64()),
+                "doc_id1": pa.array(d[ii], pa.int64()),
+                "doc_id2": pa.array(d[jj], pa.int64()),
             }
         )
 

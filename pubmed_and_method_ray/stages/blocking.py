@@ -45,6 +45,7 @@ import pyarrow as pa
 from ..functions.hashing import fnv64_arrow, splitmix64, stable_hash64
 from ..rayutil import shuffle_partitions
 from ..functions.simhash import DEFAULT_BANDS as N_BANDS
+from .features import run_pairs
 
 
 
@@ -422,20 +423,6 @@ def emit_pair_keys(
     return out.append_column("bucket", pa.array(buckets, pa.int32()))
 
 
-_TRIU_CACHE: dict = {}
-
-
-def _triu_cached(rows: int):
-    """np.triu_indices is surprisingly expensive for the many tiny
-    value-groups a segment holds — cache per group size."""
-    hit = _TRIU_CACHE.get(rows)
-    if hit is None:
-        if len(_TRIU_CACHE) > 4096:
-            _TRIU_CACHE.clear()
-        hit = _TRIU_CACHE[rows] = np.triu_indices(rows, k=1)
-    return hit
-
-
 def _dedup_earlier_bands(x: np.ndarray, y: np.ndarray, bands: np.ndarray, b_i: int):
     """Keep only pairs whose FIRST agreeing band is b_i (cross-band
     dedup without a second shuffle)."""
@@ -448,27 +435,21 @@ def _dedup_earlier_bands(x: np.ndarray, y: np.ndarray, bands: np.ndarray, b_i: i
 def _within_band_pairs(rows: np.ndarray, bands: np.ndarray):
     """All band-agreeing pairs among ``rows`` (global indices), each pair
     exactly once (first agreeing band): per band, argsort values, run
-    boundaries, cached-triu within each value group."""
+    boundaries, then ``run_pairs`` over every value group of size >= 2."""
     nb = bands.shape[1]
     lefts, rights = [], []
     for b_i in range(nb):
         v = bands[rows, b_i]
         o = np.argsort(v, kind="stable")
         sv = v[o]
-        ch = np.nonzero(sv[1:] != sv[:-1])[0] + 1
-        starts = np.concatenate([[0], ch])
-        ends = np.concatenate([ch, [len(sv)]])
-        for s, e in zip(starts, ends):
-            g = e - s
-            if g < 2:
-                continue
-            ai, bi = _triu_cached(int(g))
-            x = rows[o[s + ai]]
-            y = rows[o[s + bi]]
-            x, y = _dedup_earlier_bands(x, y, bands, b_i)
-            if len(x):
-                lefts.append(x)
-                rights.append(y)
+        starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+        sizes = np.diff(np.append(starts, len(sv)))
+        pick = sizes >= 2
+        ai, bi = run_pairs(starts[pick], sizes[pick])
+        x, y = _dedup_earlier_bands(rows[o[ai]], rows[o[bi]], bands, b_i)
+        if len(x):
+            lefts.append(x)
+            rights.append(y)
     return lefts, rights
 
 

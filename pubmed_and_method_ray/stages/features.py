@@ -123,6 +123,28 @@ def gather_list_rows(off: np.ndarray, vals: np.ndarray, rows: np.ndarray):
     return vals[idx], lens
 
 
+def run_pairs(starts: np.ndarray, sizes: np.ndarray):
+    """Every within-run pair of positions, for runs ``[starts[r],
+    starts[r] + sizes[r])``: int64 (i, j) with i < j, runs in input
+    order and each run's pairs in ``np.triu_indices(n, k=1)`` order.
+    One repeat/cumsum expansion per level (left rows, then pairs); no
+    per-run Python, and size-0/1 runs add no pair. At most three
+    pair-length int64 arrays are alive at once."""
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    # left rows: every member of a run but its last
+    n_left = np.maximum(sizes - 1, 0)
+    n_rows = int(n_left.sum())
+    left = np.repeat(starts - (np.cumsum(n_left) - n_left), n_left)
+    left += np.arange(n_rows, dtype=np.int64)
+    # each left row pairs with every later member of its run
+    cnt = np.repeat(starts + sizes - 1, n_left) - left
+    first = np.cumsum(cnt) - cnt
+    j = np.arange(int(cnt.sum()), dtype=np.int64)
+    j -= np.repeat(first - left - 1, cnt)
+    return np.repeat(left, cnt), j
+
+
 def _left_runs(rows_a: np.ndarray):
     """Group pair ids by their LEFT row: stable argsort + run boundaries.
     Block-triangle pair generation reuses each left row against many

@@ -292,7 +292,10 @@ class TestTaskExchanges:
         rd.range(4).materialize()  # Ray Data's own per-session actors
         before = set(ray_state.actors())
         assert len(_window_rows(dedup.dedup_shared_window(sf))) > 0
-        assert len(_got_pairs(dedup.dedup_minhash_lsh(sf))) > 0
+        want = _got_pairs(dedup.dedup_minhash_lsh(sf))
+        assert len(want) > 0
+        # over the candidate budget: the two-round task verify
+        assert _got_pairs(dedup.dedup_minhash_lsh(sf, driver_max_pairs=0)) == want
         assert set(ray_state.actors()) - before == set()
 
     def test_distributed_canonical_docs_start_no_actors(self, ray_session, tmp_path):

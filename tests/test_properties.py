@@ -135,6 +135,28 @@ class TestHashProperties:
         got = fnv64_arrow(sl, seed=3)
         assert [int(h) for h in got] == [fnv64(s, 3) for s in strs[1:]]
 
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_splitmix64_matches_python_int_reference(self, xs):
+        from pubmed_and_method_ray.functions.hashing import splitmix64
+
+        def ref(x):
+            m = (1 << 64) - 1
+            x = (x + 0x9E3779B97F4A7C15) & m
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m
+            return x ^ (x >> 31)
+
+        xs = xs + [0, 2**64 - 1]
+        arr = np.array(xs, dtype=np.uint64)
+        got = splitmix64(arr)
+        assert got.dtype == np.uint64
+        assert [int(h) for h in got] == [ref(x) for x in xs]
+        assert arr.tolist() == xs  # the input is not hashed in place
+        for x in (0, 2**64 - 1, xs[0]):
+            h = splitmix64(x)
+            assert isinstance(h, np.uint64) and int(h) == ref(x)
+
     @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=1, max_size=25))
     @settings(max_examples=40, deadline=None)
     def test_simhash_band_reassembly(self, tokens):
@@ -275,6 +297,47 @@ class TestVectorizedPairKernels:
             ]
         )
         assert np.allclose(got, want)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 9)),  # (gap, size)
+            max_size=25,
+        ),
+        st.integers(2, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_run_pairs_matches_triu_loop(self, layout, n_max):
+        # runs with gaps between them, selected the way the dedup and
+        # blocking callers select them (2 <= n <= n_max): the pairs and
+        # their order equal the per-run np.triu_indices loop
+        from pubmed_and_method_ray.stages.features import run_pairs
+
+        gaps = np.array([g for g, _ in layout], dtype=np.int64)
+        sizes = np.array([n for _, n in layout], dtype=np.int64)
+        starts = np.cumsum(gaps) + np.cumsum(sizes) - sizes
+        pick = (sizes >= 2) & (sizes <= n_max)
+        want_i, want_j = [], []
+        for s, n in zip(starts[pick], sizes[pick]):
+            iu, ju = np.triu_indices(n, k=1)
+            want_i += (s + iu).tolist()
+            want_j += (s + ju).tolist()
+        i, j = run_pairs(starts[pick], sizes[pick])
+        assert i.dtype == j.dtype == np.int64
+        assert i.tolist() == want_i and j.tolist() == want_j
+        # unselected runs (sizes 0 and 1 included) add no pair
+        i_all, _ = run_pairs(starts, sizes)
+        assert len(i_all) == int((sizes * (sizes - 1) // 2).sum())
+
+    def test_run_pairs_edge_layouts(self):
+        from pubmed_and_method_ray.stages.features import run_pairs
+
+        i, j = run_pairs(np.empty(0, np.int64), np.empty(0, np.int64))
+        assert i.dtype == j.dtype == np.int64 and len(i) == len(j) == 0
+        i, j = run_pairs([3, 4, 9], [0, 1, 1])
+        assert len(i) == len(j) == 0
+        iu, ju = np.triu_indices(700, k=1)
+        i, j = run_pairs([5], [700])
+        assert np.array_equal(i, iu + 5) and np.array_equal(j, ju + 5)
 
     def test_gather_on_sliced_list_array(self):
         import pyarrow as pa
