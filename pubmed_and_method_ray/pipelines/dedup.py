@@ -752,7 +752,9 @@ def _verify_round2(threshold: float, n_pair_slices: int, *slices) -> pa.Table:
     hit, rows, off, vals = _sketch_rows(slices[n_pair_slices:], hi)
     off1, vals1 = _binary_to_u64_rows(pairs["sh1"])
     idx = np.flatnonzero(hit)
-    jac = pairwise_jaccard(off1, vals1, idx, off, vals, rows)
+    # jaccard is symmetric: the sketch side leads, so the kernel's loop
+    # runs once per distinct doc_id2, not once per pair
+    jac = pairwise_jaccard(off, vals, rows, off1, vals1, idx)
     ok = jac >= threshold
     kt = pa.array(idx[ok], pa.int64())
     return pa.table(

@@ -58,9 +58,6 @@ def prepare_mentions(pages_ds, use_tfidf: bool = True, idf_sample_mod: int = 1,
     idf_ref = None
     if use_tfidf:
         if idf is None:
-            # the idf fit and the mention plan both read ``extracted``:
-            # materialize it so extraction runs once
-            extracted = extracted.materialize()
             idf, _ = fit_idf(extracted, sample_mod=idf_sample_mod)
         # float32 before the put: producer top-k/norm selection and the
         # consumer-side weight recompute must share one precision

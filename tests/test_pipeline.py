@@ -551,35 +551,6 @@ _STAGE_KEYS = {
 }
 
 
-class TestExtractOnce:
-    def test_trained_run_extracts_each_block_once(self, pages_file, tmp_path_factory, monkeypatch):
-        """With no idf given, the idf fit and the mention plan share one
-        extraction: a cold trained run calls ``extract_stage`` once per
-        input block, as the pretrained run does."""
-        from pubmed_and_method_ray.state import load_pretrained_idf, load_pretrained_model_json
-
-        inc, calls = _task_counter()
-        real = er.extract_stage
-
-        def counting(batch):
-            inc()
-            return real(batch)
-
-        monkeypatch.setattr(er, "extract_stage", counting)
-        n_blocks = sum(len(b.block_refs) for b in pages_file.iter_internal_ref_bundles())
-        run_er_pipeline(
-            pages_file, n_max=256, evaluate=False,
-            workdir=str(tmp_path_factory.mktemp("extract_trained")),
-        )
-        assert calls() == n_blocks
-        run_er_pipeline(
-            pages_file, n_max=256, evaluate=False,
-            workdir=str(tmp_path_factory.mktemp("extract_pretrained")),
-            model_json=load_pretrained_model_json(), idf=load_pretrained_idf(),
-        )
-        assert calls() == 2 * n_blocks
-
-
 class TestColdCheckpointInMemory:
     """A cold checkpoint returns its materialized stage, not a read of
     the files: memory and disk are two copies of one stage."""
@@ -798,10 +769,11 @@ def _labels(ds, node_col="url", label_col="cluster_id"):
     return dict(zip(df[node_col], df[label_col]))
 
 
-def _task_counter():
-    """(inc, get): a counter that Ray tasks can bump, backed by one
-    actor, and a driver-side read of its count."""
+def _counting_edges(cols):
+    """A lazy one-block edge Dataset whose upstream ``map_batches``
+    counts its runs, and a callable that returns that count."""
     import ray
+    import pyarrow as pa
 
     @ray.remote
     class Counter:
@@ -815,22 +787,13 @@ def _task_counter():
             return self.n
 
     counter = Counter.remote()
-    return lambda: ray.get(counter.inc.remote()), lambda: ray.get(counter.get.remote())
-
-
-def _counting_edges(cols):
-    """A lazy one-block edge Dataset whose upstream ``map_batches``
-    counts its runs, and a callable that returns that count."""
-    import pyarrow as pa
-
-    inc, get = _task_counter()
 
     def counting(batch: pa.Table) -> pa.Table:
-        inc()
+        ray.get(counter.inc.remote())
         return batch
 
-    edges = rd.from_arrow(pa.table(cols)).map_batches(counting, batch_format="pyarrow")
-    return edges, get
+    edges = ray.data.from_arrow(pa.table(cols)).map_batches(counting, batch_format="pyarrow")
+    return edges, lambda: ray.get(counter.get.remote())
 
 
 class TestConnectedComponents:
