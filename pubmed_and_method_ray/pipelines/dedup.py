@@ -61,23 +61,70 @@ def _token_hashes(text) -> tuple[np.ndarray, np.ndarray]:
     return th[np.asarray(enc.indices, dtype=np.int64)], offs - offs[0]
 
 
-def _doc_grams(text, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Text column -> (per-doc sorted-distinct k-gram hashes, flat
-    uint64; int64 doc offsets). A gram hash is the splitmix64 fold of
-    its k token hashes (h_0 = seed; h_j = sm64(h ^ th_j),
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _packed_ranks(hi: np.ndarray, lo: np.ndarray, n_hi: int, n_lo: int) -> np.ndarray:
+    """Two rank columns (values in [0, n_hi) and [0, n_lo)) -> uint64
+    keys ``hi << 32 | lo``, which sort as (hi, lo) pairs do."""
+    if n_hi >= 1 << 32 or n_lo >= 1 << 32:
+        raise ValueError(f"ranks do not fit 32 bits: {n_hi} x {n_lo} values")
+    key = hi.astype(np.uint64) << np.uint64(32)
+    key |= np.asarray(lo, np.int64).view(np.uint64)
+    return key
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal sorted values."""
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return first
+
+
+def _sort_pairs(a: np.ndarray, b: np.ndarray, distinct: bool = False):
+    """Rows (a[i], b[i]) in (a, b) order, as ``np.lexsort((b, a))``
+    orders them; with ``distinct`` each repeated row is kept once. One
+    np.unique per column and one np.sort of their packed ranks, then the
+    ranks map back to values."""
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    key = _packed_ranks(ia, ib, len(ua), len(ub))
+    del ia, ib
+    key.sort()
+    if distinct:
+        key = key[_run_starts(key)]
+    return ua[key >> np.uint64(32)], ub[key & _LO32]
+
+
+def _doc_grams(text, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Text column -> (distinct, ranks, offsets): the batch's sorted
+    distinct k-gram hashes (uint64), int64 indices into them and int64
+    doc offsets, so ``distinct[ranks[off[i]:off[i+1]]]`` is doc i's
+    sorted-distinct grams. A gram hash is the splitmix64 fold of its k
+    token hashes (h_0 = seed; h_j = sm64(h ^ th_j),
     ``mention_prep._masked_gram_fold``); a doc with fewer than k tokens
-    folds all of them into ONE gram, so every doc has >= 1 gram. The
-    per-doc distinct step is one lexsort over the batch."""
+    folds all of them into ONE gram, so every doc has >= 1 gram.
+
+    The per-doc distinct step is one np.unique over the batch's grams
+    and one np.sort of packed (doc << 32 | gram rank) keys; ranks keep
+    the grams' order. Callers hash or test each distinct gram once and
+    gather by ``ranks``; ``distinct[ranks]`` is the flat per-doc grams."""
     from ..stages.mention_prep import _masked_gram_fold
 
     th, offs = _token_hashes(text)
     h, doc_of = _masked_gram_fold(th, offs, k, seed)
-    order = np.lexsort((h, doc_of))
-    hs, ds = h[order], doc_of[order]
-    keep = np.ones(len(hs), dtype=bool)
-    keep[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
-    lens = np.bincount(ds[keep], minlength=len(offs) - 1)
-    return hs[keep], np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    del th
+    distinct, inv = np.unique(h, return_inverse=True)
+    del h
+    n_docs = len(offs) - 1
+    key = _packed_ranks(doc_of, inv, n_docs, len(distinct))
+    del doc_of, inv
+    key.sort()
+    key = key[_run_starts(key)]
+    ranks = (key & _LO32).astype(np.int64)
+    lens = np.bincount((key >> np.uint64(32)).astype(np.int64), minlength=n_docs)
+    return distinct, ranks, np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
 
 
 # -- exact dedup (D2/D4 analog): hash-partition + per-group min ------------
@@ -310,9 +357,10 @@ class _SketchBander:
     Fused sketch+banding: no payload column crosses an exchange —
     downstream ops explode/select from the materialized parent, and the
     LSH exchange itself carries only (band_key, doc_id). Every step is
-    batch-vectorized: the gram kernel, the (grams x num_perm) minhash
-    via ``minimum.reduceat``, and the band keys as one reshape of the
-    signature matrix."""
+    batch-vectorized: the gram kernel, the minhash (each permutation
+    hashes the batch's DISTINCT grams once, gathers them by ``ranks``
+    and takes each doc's ``minimum.reduceat``), and the band keys as one
+    reshape of the signature matrix."""
 
     SHINGLE_SEED = 0x53  # fold init; 83 in the SQL oracle
     MINHASH_SEED = 7  # seeds = sm64(arange(1..num_perm) * (seed+1))
@@ -337,22 +385,26 @@ class _SketchBander:
                     "bands": pa.array([], pa.list_(key_type)),
                 }
             )
-        sh_flat, sh_off = _doc_grams(t["text"], self.shingle_k, self.SHINGLE_SEED)
+        distinct, ranks, sh_off = _doc_grams(
+            t["text"], self.shingle_k, self.SHINGLE_SEED
+        )
 
         # minhash for the WHOLE batch, one permutation COLUMN at a time:
-        # a (grams x num_perm) rehash matrix is memory-bandwidth-bound
-        # (~3.5x slower measured), while per-column rehash + segment-min
-        # keeps the working set cache-sized (every doc has >= 1 gram, so
-        # reduceat is safe)
+        # hash each distinct shingle once (a small-vocabulary corpus
+        # repeats most shingles across docs), gather to every doc's
+        # shingles into one reused buffer (ranks are in range, so no
+        # bounds check) and take each doc's segment-min (every doc has
+        # >= 1 gram, so reduceat is safe)
         seeds = splitmix64(
             np.arange(1, num_perm + 1, dtype=np.uint64)
             * np.uint64(self.MINHASH_SEED + 1)
         )
         sig = np.empty((n_docs, num_perm), dtype=np.uint64)
+        hashed = np.empty(len(ranks), dtype=np.uint64)
         for p in range(num_perm):
-            sig[:, p] = np.minimum.reduceat(
-                splitmix64(sh_flat ^ seeds[p]), sh_off[:-1]
-            )
+            np.take(splitmix64(distinct ^ seeds[p]), ranks, out=hashed, mode="wrap")
+            sig[:, p] = np.minimum.reduceat(hashed, sh_off[:-1])
+        del hashed
 
         # band keys: [band index, its rows signature words] per band
         keys = np.empty((n_docs, n_bands, rows + 1), dtype=np.uint64)
@@ -370,7 +422,7 @@ class _SketchBander:
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],
-                "sh": _u64_rows_to_binary(sh_off, sh_flat),
+                "sh": _u64_rows_to_binary(sh_off, distinct[ranks]),
                 "bands": bands_arr,
             }
         )
@@ -437,7 +489,7 @@ def _explode_bands(t: pa.Table) -> pa.Table:
 
 
 def _bucket_segments(t: pa.Table):
-    """Lexsort a co-located (band_key, doc_id, ...) block into bucket
+    """Sort a co-located (band_key, doc_id, ...) block into bucket
     segments; yields (segment row-index array, start, end) plus the
     sorted key codes for callers that need them. Returns (order, bounds,
     ids) with ids = doc_id numpy view."""
@@ -719,10 +771,7 @@ def _verify_round1(n_parts: int, n_pair_slices: int, *slices):
     if pairs.num_rows:
         lo = np.asarray(pairs["doc_id1"].to_numpy(zero_copy_only=False), np.int64)
         hi = np.asarray(pairs["doc_id2"].to_numpy(zero_copy_only=False), np.int64)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        first = np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
-        lo, hi = lo[first], hi[first]
+        lo, hi = _sort_pairs(lo, hi, distinct=True)
     else:
         lo = hi = np.empty(0, np.int64)
     hit, rows, off, vals = _sketch_rows(slices[n_pair_slices:], lo)
@@ -832,6 +881,10 @@ def dedup_minhash_lsh(
     Web-scale inputs exceed the row budget and take the exchange path
     unchanged.
     """
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
     from ..functions.hashing import splitmix64
 
     docs = _read_documents(sf_dir, columns=["doc_id", "text"])
@@ -861,7 +914,7 @@ def dedup_minhash_lsh(
         est_pairs = int(np.sum(sizes * (sizes - 1) // 2))
         if est_pairs <= driver_max_pairs:
             lo, hi = _segment_pairs(segments, n_max=band_tab.num_rows)
-            pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+            pairs = np.stack(_sort_pairs(lo, hi, distinct=True), axis=1)
             return _verify_pairs_driver(pairs, sketches, threshold)
         # est_pairs over budget (mega-bucket in a small input): fall
         # through to the salted exchange construction below.
@@ -905,33 +958,27 @@ def dedup_minhash_lsh(
 
     sketches = sketched.select_columns(["doc_id", "sh"])
 
-    # budget-guarded verify: stream candidates (cross-band dups included,
-    # ≤ n_bands per pair) to the driver up to the budget
-    collected: list | None = []
-    n_cands = 0
-    for b in cands.iter_batches(batch_format="pyarrow", batch_size=65536):
-        collected.append(
-            np.stack(
-                [
-                    b["doc_id1"].to_numpy(zero_copy_only=False).astype(np.int64),
-                    b["doc_id2"].to_numpy(zero_copy_only=False).astype(np.int64),
-                ],
-                axis=1,
-            )
-        )
-        n_cands += b.num_rows
-        if n_cands > driver_max_pairs:
-            collected = None
-            break
-    if collected is not None:
-        pairs = (
-            np.unique(np.concatenate(collected), axis=0)
-            if collected
-            else np.empty((0, 2), np.int64)
-        )
-        return _verify_pairs_driver(pairs, sketches, threshold)
-
-    return _verify_pairs_exchange(cands, sketches, threshold)
+    # budget-guarded verify: one pass over the candidate plan (cross-band
+    # dups included, ≤ n_bands per pair) for its block refs and row
+    # counts; past the budget the task verify gets these same blocks, so
+    # the plan does not run again
+    refs, n_cands = [], 0
+    for bundle in cands.iter_internal_ref_bundles():
+        refs.extend(bundle.block_refs)
+        n_cands += bundle.num_rows()
+    if n_cands > driver_max_pairs:
+        return _verify_pairs_exchange(rd.from_arrow_refs(refs), sketches, threshold)
+    got = pa.concat_tables(
+        [_EMPTY_PAIRS]
+        + [
+            BlockAccessor.for_block(b).to_arrow().select(["doc_id1", "doc_id2"])
+            for b in ray.get(refs)
+        ]
+    )
+    pairs = _sort_pairs(
+        got["doc_id1"].to_numpy(), got["doc_id2"].to_numpy(), distinct=True
+    )
+    return _verify_pairs_driver(np.stack(pairs, axis=1), sketches, threshold)
 
 
 def dedup_canonical_docs(
@@ -1242,7 +1289,8 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
     nparts = shuffle_partitions()
 
     def emit_grams(t: pa.Table) -> pa.Table:
-        grams, off = _doc_grams(t["text"], window, _WINDOW_SEED)
+        distinct, ranks, off = _doc_grams(t["text"], window, _WINDOW_SEED)
+        grams = distinct[ranks]
         ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), np.int64)
         return pa.Table.from_pydict(
             {
@@ -1258,8 +1306,7 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
         tt = t.combine_chunks()
         g = np.asarray(tt["gram"].to_numpy(zero_copy_only=False), np.uint64)
         d = np.asarray(tt["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        order = np.lexsort((d, g))
-        g, d = g[order], d[order]  # doc ids ascend within a gram run
+        g, d = _sort_pairs(g, d)  # doc ids ascend within a gram run
         starts = np.flatnonzero(np.r_[len(g) > 0, g[1:] != g[:-1]])
         sizes = np.diff(np.append(starts, len(g)))
         pick = (sizes >= 2) & (sizes <= n_max)
@@ -1291,29 +1338,31 @@ def decontaminate(sf_dir: str, benchmark_texts, window: int = 8):
     drop corpus docs that contain any exact ``window``-token span of an
     evaluation benchmark — e.g. GPT-3 appendix C / Lee et al. 2021):
     the benchmark's window grams are built ONCE with dedup_shared_window's
-    gram kernel (``_doc_grams``) and broadcast as one sorted uint64
-    array; each batch of docs gets its per-doc distinct grams from the
-    same kernel and one vectorized ``isin`` — no shuffle at all; the
-    benchmark side is small by definition. Emits (doc_id, n_hits,
-    contaminated) where n_hits counts DISTINCT contaminated windows (set
-    semantics, matching the oracle's list_intersect)."""
+    gram kernel (``_doc_grams``) and broadcast as its sorted-distinct
+    uint64 output; each batch of docs gets its grams from the same
+    kernel and one vectorized ``isin`` over the batch's distinct grams,
+    gathered to each doc by rank — no shuffle at all; the benchmark side
+    is small by definition. Emits (doc_id, n_hits, contaminated) where
+    n_hits counts DISTINCT contaminated windows (set semantics, matching
+    the oracle's list_intersect)."""
     import ray
 
-    bench, _ = _doc_grams(
+    bench, _, _ = _doc_grams(
         pa.array(list(benchmark_texts), pa.string()), window, _WINDOW_SEED
     )
     # one object-store copy, fetched once per worker — a closure capture
     # would re-pickle the array into every task
-    bench_ref = ray.put(np.unique(bench))
+    bench_ref = ray.put(bench)
 
     def flag(t: pa.Table) -> pa.Table:
         from ..stages.mention_prep import get_broadcast
 
-        grams, off = _doc_grams(t["text"], window, _WINDOW_SEED)
+        distinct, ranks, off = _doc_grams(t["text"], window, _WINDOW_SEED)
+        hit = np.isin(distinct, get_broadcast(bench_ref), assume_unique=True)
         doc_of = np.repeat(np.arange(t.num_rows, dtype=np.int64), np.diff(off))
-        n_hits = np.bincount(
-            doc_of[np.isin(grams, get_broadcast(bench_ref))], minlength=t.num_rows
-        ).astype(np.int64)
+        n_hits = np.bincount(doc_of[hit[ranks]], minlength=t.num_rows).astype(
+            np.int64
+        )
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],

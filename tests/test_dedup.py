@@ -193,7 +193,7 @@ class TestMinhashLsh:
         assert len(a) > 0
 
     def test_driver_band_path_matches_exchange_path(self, ray_session, tmp_path):
-        """The driver band fast path (one lexsort instead of the band
+        """The driver band fast path (one driver sort instead of the band
         exchange) is a pure execution strategy: identical output to
         the forced exchange construction, including the over-pair-budget
         fall-through inside a small band table."""
@@ -315,6 +315,31 @@ class TestTaskExchanges:
         assert set(ray_state.actors()) - before == set()
         assert len(want) == 21 and sum(r[2] for r in want) < 21
 
+    def test_over_budget_verify_forms_candidates_once(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """Past ``driver_max_pairs`` the task verify gets the candidate
+        blocks the budget pass already made: the band pairing runs once
+        per partition, not once more for the verify."""
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        pair_buckets = dedup._direct_bucket_pairs
+
+        def counting(t, n_max):
+            import uuid
+
+            (calls / uuid.uuid4().hex).touch()
+            return pair_buckets(t, n_max)
+
+        sf = _write_docs(tmp_path, _near_dup_rows())
+        want = _got_pairs(dedup.dedup_minhash_lsh(sf))
+        monkeypatch.setattr(dedup, "_direct_bucket_pairs", counting)
+        monkeypatch.setattr(dedup, "shuffle_partitions", lambda *a, **k: 2)
+        monkeypatch.setattr(dedup, "sized_partitions", lambda *a, **k: 2)
+        got = dedup.dedup_minhash_lsh(sf, band_driver_rows=0, driver_max_pairs=0)
+        assert _got_pairs(got) == want and len(want) > 0
+        assert len(list(calls.iterdir())) == 2
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_do_not_depend_on_partition_count(
         self, ray_session, tmp_path, monkeypatch, n
@@ -366,14 +391,18 @@ class TestGramKernel:
             for _ in range(60)
         ]
         for k in (1, 2, 3, 8):
-            flat, off = dedup._doc_grams(pa.array(texts, pa.string()), k, 0x57)
-            assert off[0] == 0 and off[-1] == len(flat)
+            distinct, ranks, off = dedup._doc_grams(
+                pa.array(texts, pa.string()), k, 0x57
+            )
+            assert off[0] == 0 and off[-1] == len(ranks)
+            assert np.all(distinct[1:] > distinct[:-1])
+            flat = distinct[ranks]
             for i, text in enumerate(texts):
                 row = flat[off[i] : off[i + 1]]
                 assert len(row) == len(_windows(text, k)), (k, text)
                 assert np.all(row[1:] > row[:-1])
-        flat, off = dedup._doc_grams(pa.array([], pa.string()), 8, 0x57)
-        assert len(flat) == 0 and list(off) == [0]
+        distinct, ranks, off = dedup._doc_grams(pa.array([], pa.string()), 8, 0x57)
+        assert len(distinct) == len(ranks) == 0 and list(off) == [0]
 
     def test_lowering_matches_duckdb(self, tmp_path):
         """Docs that differ only by 'ΣΑΣ'/'σασ' (or 'İ'/'i') inside one

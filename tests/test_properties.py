@@ -594,3 +594,143 @@ class TestSharedWindowProperty:
                 )
             }
         assert got == want
+
+
+# docs for the gram kernels: null, empty, shorter than k, repeated
+# tokens, Greek final sigma and Turkish dotted/dotless i (lowered by
+# Arrow's utf8_lower, as DuckDB's lower), and whole-doc duplicates
+gram_texts = st.lists(
+    st.one_of(
+        st.none(),
+        st.lists(
+            st.sampled_from(["a", "b", "ΣΑΣ", "σας", "İ", "ı", "I", " "]), max_size=16
+        ).map("".join),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda xs: xs + xs[: len(xs) // 2])
+
+
+def _reference_doc_grams(texts, k, seed):
+    """Per doc, np.unique of the doc's folded gram hashes."""
+    import pyarrow as pa
+
+    from pubmed_and_method_ray.pipelines.dedup import _token_hashes
+    from pubmed_and_method_ray.stages.mention_prep import _masked_gram_fold
+
+    th, offs = _token_hashes(pa.array(texts, pa.string()))
+    h, doc_of = _masked_gram_fold(th, offs, k, seed)
+    return [np.unique(h[doc_of == i]) for i in range(len(texts))]
+
+
+class TestGramKernelProperties:
+    @given(gram_texts, st.sampled_from([1, 2, 3, 8]))
+    @settings(max_examples=80, deadline=None)
+    def test_doc_grams_match_per_doc_unique(self, texts, k):
+        """``distinct[ranks[off[i]:off[i+1]]]`` is doc i's per-doc
+        ``np.unique`` of its grams, and ``distinct`` is sorted-distinct."""
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.pipelines.dedup import _doc_grams
+
+        distinct, ranks, off = _doc_grams(pa.array(texts, pa.string()), k, 0x57)
+        assert distinct.dtype == np.uint64 and ranks.dtype == off.dtype == np.int64
+        assert np.all(distinct[1:] > distinct[:-1])
+        assert len(off) == len(texts) + 1 and off[0] == 0 and off[-1] == len(ranks)
+        want = _reference_doc_grams(texts, k, 0x57)
+        for i, w in enumerate(want):
+            assert np.array_equal(distinct[ranks[off[i] : off[i + 1]]], w)
+        assert len(distinct) == len(np.unique(np.concatenate(want)))
+
+    def test_doc_grams_single_and_empty_batch(self):
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.pipelines.dedup import _doc_grams
+
+        distinct, ranks, off = _doc_grams(pa.array(["ΣΑΣ b b"], pa.string()), 2, 7)
+        assert off.tolist() == [0, 2] and len(distinct) == 2
+        assert ranks.tolist() == [0, 1]
+        distinct, ranks, off = _doc_grams(pa.array([], pa.string()), 3, 7)
+        assert len(distinct) == len(ranks) == 0 and off.tolist() == [0]
+
+    def test_packed_ranks_refuse_ranks_past_32_bits(self):
+        import pytest
+
+        from pubmed_and_method_ray.pipelines.dedup import _packed_ranks
+
+        zero = np.zeros(1, np.int64)
+        assert _packed_ranks(zero + 3, zero + 5, 4, 6).tolist() == [3 << 32 | 5]
+        for n_hi, n_lo in ((1 << 32, 1), (1, 1 << 32)):
+            with pytest.raises(ValueError):
+                _packed_ranks(zero, zero, n_hi, n_lo)
+
+    @given(
+        st.lists(st.integers(0, 14), min_size=1, max_size=12),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sketch_matches_per_gram_minhash(self, lens, all_distinct, data):
+        """``_SketchBander``'s ``sh`` and ``bands`` equal a direct
+        per-doc ``min(splitmix64(g ^ seed_p))`` over the doc's gram
+        list, on a small-vocabulary corpus (grams repeat across docs)
+        and on one where every token, so every shingle, is distinct."""
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.functions.hashing import splitmix64
+        from pubmed_and_method_ray.pipelines.dedup import _SketchBander
+
+        if all_distinct:
+            starts = np.cumsum([0] + lens)
+            texts = [" ".join(f"w{j}" for j in range(s, s + n)) for s, n in zip(starts, lens)]
+        else:
+            texts = [
+                " ".join(data.draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)))
+                for n in lens
+            ]
+        bander = _SketchBander()
+        got = bander(
+            pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts})
+        )
+        seeds = splitmix64(
+            np.arange(1, bander.num_perm + 1, dtype=np.uint64)
+            * np.uint64(bander.MINHASH_SEED + 1)
+        )
+        rows = bander.num_perm // bander.n_bands
+        grams = _reference_doc_grams(texts, bander.shingle_k, bander.SHINGLE_SEED)
+        for i, g in enumerate(grams):
+            assert got["sh"][i].as_py() == g.tobytes()
+            sig = np.array([splitmix64(g ^ s).min() for s in seeds], np.uint64)
+            want = [
+                np.r_[np.uint64(b), sig[b * rows : (b + 1) * rows]].tobytes()
+                for b in range(bander.n_bands)
+            ]
+            assert got["bands"][i].as_py() == want
+
+
+class TestPairSortProperty:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 5), st.integers(-(2**63), 2**63 - 1)),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sort_pairs_matches_lexsort(self, rows, distinct):
+        """``_sort_pairs`` returns the rows in ``np.lexsort((b, a))``
+        order; with ``distinct`` each repeated row once."""
+        from pubmed_and_method_ray.pipelines.dedup import _sort_pairs
+
+        # repeat some rows so duplicates and equal first keys occur
+        rows = rows + rows[::3]
+        a = np.array([r[0] for r in rows], np.int64)
+        b = np.array([r[1] for r in rows], np.int64)
+        order = np.lexsort((b, a))
+        wa, wb = a[order], b[order]
+        if distinct:
+            keep = np.r_[True, (wa[1:] != wa[:-1]) | (wb[1:] != wb[:-1])][: len(wa)]
+            wa, wb = wa[keep], wb[keep]
+        ga, gb = _sort_pairs(a, b, distinct=distinct)
+        assert ga.dtype == gb.dtype == np.int64
+        assert ga.tolist() == wa.tolist() and gb.tolist() == wb.tolist()
