@@ -128,11 +128,8 @@ def fnv64_arrow(arr, seed: int = 0) -> np.ndarray:
     if n == 0:
         return np.empty(0, np.uint64)
     bufs = arr.buffers()
-    width = (
-        np.int64
-        if arr.type in (pa.large_string(), pa.large_utf8())
-        else np.int32
-    )
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    width = np.int64 if large else np.int32
     offs = np.frombuffer(bufs[1], dtype=width)[
         arr.offset : arr.offset + n + 1
     ].astype(np.int64)

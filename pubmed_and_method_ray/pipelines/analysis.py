@@ -118,7 +118,7 @@ def external_id_baseline(
     is ever enumerated: registry lookup + unknown-filter per batch, a
     per-batch np.unique pre-aggregation to (host, ent, rid, cnt) rows,
     then ONE budget-guarded grouped sum over unique triples
-    (``sized_groupby_agg``: driver merge when knowably small, hash
+    (``sized_groupby_agg``: driver merge when knowably small, keyed
     exchange otherwise). The exchange carries triple counts, not page
     rows, and the count algebra is O(rows), not O(pairs) — at web scale
     a mega-host costs the same as any other. Returns a one-row frame:
@@ -131,7 +131,12 @@ def external_id_baseline(
     import pandas as pd
     import pyarrow as pa
 
-    from ..rayutil import known_size, shuffle_partitions, sized_groupby_agg
+    from ..rayutil import (
+        keyed_repartition,
+        known_size,
+        shuffle_partitions,
+        sized_groupby_agg,
+    )
     from ..sources.pages import build_pages_dataset
 
     url_re = re.compile(r"site(\d+)\.example\.org/e(\d+)/")
@@ -234,9 +239,9 @@ def external_id_baseline(
                 }
             )
 
-        per = merged.repartition(
-            num_blocks=shuffle_partitions(), keys=["host_id"]
-        ).map_batches(conf_batch, batch_format="pyarrow", batch_size=None)
+        per = keyed_repartition(merged, ["host_id"], shuffle_partitions()).map_batches(
+            conf_batch, batch_format="pyarrow", batch_size=None
+        )
         tp = pred = gold = total = 0
         for b in per.iter_batches(batch_format="pyarrow", batch_size=None):
             tp += int(np.sum(b["tp"].to_numpy(zero_copy_only=False)))

@@ -24,10 +24,13 @@ import pyarrow as pa
 from ..rayutil import (
     _merge_part,
     _split_by_part,
-    keyed_exchange,
+    keyed_map_groups,
+    keyed_repartition,
     shuffle_partitions,
+    sized_groupby_agg,
     sized_partitions,
     split_blocks,
+    with_key_part,
 )
 
 
@@ -141,7 +144,6 @@ def dedup_exact(sf_dir: str):
             {"text_hash": pa.array(hashes, pa.string()), "doc_id": t["doc_id"]}
         )
 
-    from ..rayutil import sized_groupby_agg
     from ..sources.io import _local_bytes
 
     ds = _read_documents(sf_dir, columns=["doc_id", "text"])
@@ -176,7 +178,6 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
 
     # block census: (lang, source) cardinality is bounded (langs x
     # sources), so the skew table is constant-sized driver state
-    from ..rayutil import sized_groupby_agg
     from ..sources.io import _local_bytes
 
     census = sized_groupby_agg(
@@ -241,9 +242,9 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         )
 
     def group_pairs(t: pa.Table) -> pa.Table:
-        """Segment by (lang-code, source-code, sa, sb) via lexsort, build
-        ALL pair index arrays (triu within / repeat-tile cross), then one
-        vectorized multi-pair jaccard — no per-pair Python."""
+        """Pairs of every (lang-code, source-code, sa, sb) salt group
+        (``_salted_group_pairs``), then one vectorized multi-pair
+        jaccard — no per-pair Python."""
         from ..stages.features import pairwise_jaccard
 
         empty = pa.Table.from_pydict(
@@ -271,34 +272,9 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         off = np.asarray(arr.offsets)
         vals = arr.values.to_numpy(zero_copy_only=False)
 
-        order = np.lexsort((sb, sa, block_code))
-        bc_s, a_s, b_s = block_code[order], sa[order], sb[order]
-        change = np.nonzero(
-            (bc_s[1:] != bc_s[:-1]) | (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-        )[0] + 1
-        bounds = np.concatenate([[0], change, [len(order)]])
-
-        gis, gjs = [], []
-        for s0, s1 in zip(bounds[:-1], bounds[1:]):
-            seg = order[s0:s1]
-            a_id, b_id = int(a_s[s0]), int(b_s[s0])
-            if a_id == b_id:
-                rows = seg[part[seg] == a_id]
-                rows = rows[np.argsort(ids[rows], kind="stable")]
-                if len(rows) > 1:
-                    iu, ju = np.triu_indices(len(rows), k=1)
-                    gis.append(rows[iu])
-                    gjs.append(rows[ju])
-            else:
-                ra = seg[part[seg] == a_id]
-                rb = seg[part[seg] == b_id]
-                if len(ra) and len(rb):
-                    gis.append(np.repeat(ra, len(rb)))
-                    gjs.append(np.tile(rb, len(ra)))
-        if not gis:
+        gi, gj = _salted_group_pairs(block_code, sa, sb, part)
+        if not len(gi):
             return empty
-        gi = np.concatenate(gis)
-        gj = np.concatenate(gjs)
         jac = pairwise_jaccard(off, vals, gi, off, vals, gj)
         if threshold is not None:
             keep = jac >= threshold
@@ -318,13 +294,11 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
             }
         )
 
-    return (
-        ds.map_batches(replicate, batch_format="pyarrow")
-        .repartition(
-            num_blocks=shuffle_partitions(), keys=["lang", "source", "sa", "sb"]
-        )
-        .map_batches(group_pairs, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_repartition(
+        ds.map_batches(replicate, batch_format="pyarrow"),
+        ["lang", "source", "sa", "sb"],
+        shuffle_partitions(),
+    ).map_batches(group_pairs, batch_format="pyarrow", batch_size=None)
 
 
 def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.6):
@@ -428,24 +402,6 @@ class _SketchBander:
         )
 
 
-def _band_key_hash(keys) -> np.ndarray:
-    """Band keys -> uint64: a splitmix64 fold over each key's words, for
-    exchange partition ids (bucketing itself compares whole keys)."""
-    from ..functions.hashing import splitmix64
-
-    keys = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
-    n, nw = len(keys), keys.type.byte_width // 8
-    if n == 0:
-        return np.empty(0, np.uint64)
-    words = np.frombuffer(
-        keys.buffers()[1], dtype=np.uint64, count=(keys.offset + n) * nw
-    )[keys.offset * nw :].reshape(n, nw)
-    h = splitmix64(words[:, 0])
-    for j in range(1, nw):
-        h = splitmix64(h ^ words[:, j])
-    return h
-
-
 def _u64_rows_to_binary(off: np.ndarray, flat: np.ndarray) -> pa.Array:
     """(row offsets, flat uint64 values) -> large_binary column; row i's
     payload is flat[off[i]:off[i+1]] as raw LE bytes."""
@@ -506,54 +462,6 @@ def _bucket_segments(t: pa.Table):
 _EMPTY_PAIRS = pa.Table.from_pydict(
     {"doc_id1": pa.array([], pa.int64()), "doc_id2": pa.array([], pa.int64())}
 )
-
-
-def _hash_part(h: np.ndarray, n_parts: int) -> pa.Array:
-    """uint64 hashes -> ``keyed_exchange`` partition ids in [0, n_parts)."""
-    return pa.array(
-        (np.asarray(h, np.uint64) % np.uint64(n_parts)).astype(np.int64),
-        pa.int64(),
-    )
-
-
-def _with_pair_part(t: pa.Table, n_parts: int) -> pa.Table:
-    """Append ``part``: a splitmix64 hash of (doc_id1, doc_id2) mod
-    ``n_parts``, so every copy of a pair lands in one partition."""
-    from ..functions.hashing import splitmix64
-
-    lo = np.asarray(t["doc_id1"].to_numpy(zero_copy_only=False), np.int64)
-    hi = np.asarray(t["doc_id2"].to_numpy(zero_copy_only=False), np.int64)
-    h = splitmix64(splitmix64(lo.view(np.uint64)) ^ hi.view(np.uint64))
-    return t.append_column("part", _hash_part(h, n_parts))
-
-
-def _count_pairs(pairs, n_parts: int, count_col: str):
-    """(doc_id1, doc_id2) rows -> one row per distinct pair with its
-    multiplicity as int64 ``count_col``: one ``keyed_exchange`` on the
-    pair hash (``_with_pair_part``), then one pyarrow group_by per
-    partition. Plain tasks, no aggregator actors."""
-
-    def count(t: pa.Table) -> pa.Table:
-        res = t.group_by(["doc_id1", "doc_id2"], use_threads=False).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table(
-            {
-                "doc_id1": res["doc_id1"],
-                "doc_id2": res["doc_id2"],
-                count_col: res["count_all"],
-            }
-        )
-
-    keyed = pairs.map_batches(
-        _with_pair_part,
-        fn_kwargs={"n_parts": n_parts},
-        batch_format="pyarrow",
-        batch_size=None,
-    )
-    return keyed_exchange(keyed, "part", n_parts).map_batches(
-        count, batch_format="pyarrow", batch_size=None
-    )
 
 
 def _segment_pairs(segments, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -633,45 +541,56 @@ def _overflow_salt_rows(t: pa.Table, n_max: int) -> pa.Table:
     )
 
 
+def _cross_pairs(starts_a, sizes_a, starts_b, sizes_b):
+    """Every (i, j) with i in run ``[starts_a[r], +sizes_a[r])`` and j in
+    run ``[starts_b[r], +sizes_b[r])`` of the same r: each left row
+    pairs with every right row, as ``np.repeat``/``np.tile`` would, for
+    all runs in one expansion."""
+    n_left = int(sizes_a.sum())
+    left = np.repeat(starts_a - (np.cumsum(sizes_a) - sizes_a), sizes_a)
+    left += np.arange(n_left, dtype=np.int64)
+    cnt = np.repeat(sizes_b, sizes_a)
+    first = np.cumsum(cnt) - cnt
+    j = np.arange(int(cnt.sum()), dtype=np.int64)
+    j -= np.repeat(first - np.repeat(starts_b, sizes_a), cnt)
+    return np.repeat(left, cnt), j
+
+
+def _salted_group_pairs(code, sa, sb, part) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (gi, gj) of triangle-salted rows (the replication of
+    stages/blocking.py): rows group by (code, sa, sb); a diagonal group
+    (sa == sb) pairs its rows of part sa among themselves, an
+    off-diagonal group pairs each row of part sa with each row of part
+    sb. One sort by (code, sa, sb, part) makes every (group, part) a
+    run; ``run_pairs`` and ``_cross_pairs`` expand all runs at once."""
+    from ..stages.features import run_pairs
+
+    order = np.lexsort((part, sb, sa, code))
+    c, a, b, p = code[order], sa[order], sb[order], part[order]
+    new_grp = np.r_[True, (c[1:] != c[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+    starts = np.flatnonzero(new_grp | np.r_[True, p[1:] != p[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)]).astype(np.int64)
+    pa_, pb_ = p[starts] == a[starts], p[starts] == b[starts]
+    diag = (a[starts] == b[starts]) & pa_
+    # an off-diagonal group's part-sa run is followed by its part-sb run
+    x = (a[starts[:-1]] != b[starts[:-1]]) & pa_[:-1] & pb_[1:] & ~new_grp[starts[1:]]
+    i1, j1 = run_pairs(starts[diag], sizes[diag])
+    i2, j2 = _cross_pairs(starts[:-1][x], sizes[:-1][x], starts[1:][x], sizes[1:][x])
+    return order[np.concatenate([i1, i2])], order[np.concatenate([j1, j2])]
+
+
 def _salted_segment_pairs(t: pa.Table) -> pa.Table:
     """Pair-gen over salted overflow rows co-located by (band_key, sa,
-    sb): within-group triu on the diagonal groups, repeat-tile cross
-    otherwise — no per-pair Python."""
+    sb) (``_salted_group_pairs``), self-pairs dropped."""
     if t.num_rows == 0:
         return _EMPTY_PAIRS
     t = t.combine_chunks()
-    kenc = t["band_key"].combine_chunks().dictionary_encode()
-    kc = np.asarray(kenc.indices, dtype=np.int64)
+    kc = np.asarray(t["band_key"].combine_chunks().dictionary_encode().indices, np.int64)
     sa = np.asarray(t["sa"].to_numpy(zero_copy_only=False))
     sb = np.asarray(t["sb"].to_numpy(zero_copy_only=False))
     part = np.asarray(t["part"].to_numpy(zero_copy_only=False))
     ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-    order = np.lexsort((sb, sa, kc))
-    kc_s, a_s, b_s = kc[order], sa[order], sb[order]
-    change = np.nonzero(
-        (kc_s[1:] != kc_s[:-1]) | (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-    )[0] + 1
-    bounds = np.concatenate([[0], change, [len(order)]])
-    gis, gjs = [], []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        seg = order[s0:s1]
-        a_id, b_id = int(a_s[s0]), int(b_s[s0])
-        if a_id == b_id:
-            rows = seg[part[seg] == a_id]
-            if len(rows) > 1:
-                iu, ju = np.triu_indices(len(rows), k=1)
-                gis.append(rows[iu])
-                gjs.append(rows[ju])
-        else:
-            ra = seg[part[seg] == a_id]
-            rb = seg[part[seg] == b_id]
-            if len(ra) and len(rb):
-                gis.append(np.repeat(ra, len(rb)))
-                gjs.append(np.tile(rb, len(ra)))
-    if not gis:
-        return _EMPTY_PAIRS
-    gi = np.concatenate(gis)
-    gj = np.concatenate(gjs)
+    gi, gj = _salted_group_pairs(kc, sa, sb, part)
     lo = np.minimum(ids[gi], ids[gj])
     hi = np.maximum(ids[gi], ids[gj])
     keep = lo != hi
@@ -764,7 +683,6 @@ def _verify_round1(n_parts: int, n_pair_slices: int, *slices):
     partition's candidate pairs (every copy of a pair shares its
     doc_id1), attach doc_id1's sketch as ``sh1`` and split the result by
     doc_id2's partition."""
-    from ..stages.cluster import _node_parts
     from ..stages.features import gather_list_rows
 
     pairs = _merge_part(pa.table({}), *slices[:n_pair_slices])
@@ -782,10 +700,9 @@ def _verify_round1(n_parts: int, n_pair_slices: int, *slices):
             "doc_id1": pa.array(lo, pa.int64()),
             "doc_id2": pa.array(hi, pa.int64()),
             "sh1": _u64_rows_to_binary(np.r_[0, np.cumsum(lens)], flat),
-            "part": pa.array(_node_parts(pa.array(hi, pa.int64()), n_parts)),
         }
     )
-    return _split_by_part(out, "part", n_parts)
+    return _split_by_part(with_key_part(out, ["doc_id2"], n_parts), "part", n_parts)
 
 
 def _verify_round2(threshold: float, n_pair_slices: int, *slices) -> pa.Table:
@@ -826,11 +743,12 @@ def _verify_pairs_exchange(cands, sketches, threshold: float):
     import ray
     import ray.data as rd
 
-    from ..stages.cluster import _with_part
-
     n = shuffle_partitions()
-    sk_parts = split_blocks(sketches, "part", n, partial(_with_part, col="doc_id", n_parts=n))
-    pair_parts = split_blocks(cands, "part", n, partial(_with_part, col="doc_id1", n_parts=n))
+    def keyed_on(col):
+        return partial(with_key_part, keys=[col], n_parts=n)
+
+    sk_parts = split_blocks(sketches, "part", n, keyed_on("doc_id"))
+    pair_parts = split_blocks(cands, "part", n, keyed_on("doc_id1"))
     round1 = ray.remote(_verify_round1).options(num_returns=n)
     r1 = [round1.remote(n, len(c), *c, *s) for c, s in zip(pair_parts, sk_parts)]
     if n == 1:
@@ -854,7 +772,7 @@ def dedup_minhash_lsh(
     (doc_id1, doc_id2, jaccard >= threshold), each verified pair once.
 
     Scale shape (one exchange in the common case; every exchange runs on
-    plain tasks, ``rayutil.keyed_exchange`` or ``split_blocks``, so no
+    plain tasks, ``rayutil.keyed_repartition`` or ``split_blocks``, so no
     actor starts):
     1. ONE fused task pass sketches + bands each doc (payloads stay in
        the materialized parent, never enter an exchange).
@@ -884,8 +802,6 @@ def dedup_minhash_lsh(
     import ray
     import ray.data as rd
     from ray.data.block import BlockAccessor
-
-    from ..functions.hashing import splitmix64
 
     docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     sketched = docs.map_batches(
@@ -921,24 +837,10 @@ def dedup_minhash_lsh(
 
     nparts = sized_partitions(n_docs * n_bands)
 
-    def band_rows(t: pa.Table) -> pa.Table:
-        b = _explode_bands(t)
-        return b.append_column(
-            "part", _hash_part(_band_key_hash(b["band_key"]), nparts)
-        )
-
-    def salt_rows(t: pa.Table) -> pa.Table:
-        # "part" is each member's salt; the exchange key is "dest"
-        o = _overflow_salt_rows(t, n_max)
-        sa = np.asarray(o["sa"].to_numpy(zero_copy_only=False), np.uint64)
-        sb = np.asarray(o["sb"].to_numpy(zero_copy_only=False), np.uint64)
-        h = splitmix64(
-            _band_key_hash(o["band_key"]) ^ splitmix64((sa << np.uint64(32)) | sb)
-        )
-        return o.append_column("dest", _hash_part(h, nparts))
-
-    repart = keyed_exchange(
-        sketched.map_batches(band_rows, batch_format="pyarrow"), "part", nparts
+    repart = keyed_repartition(
+        sketched.map_batches(_explode_bands, batch_format="pyarrow"),
+        ["band_key"],
+        nparts,
     )
     direct = repart.map_batches(
         lambda t: _direct_bucket_pairs(t, n_max),
@@ -946,10 +848,12 @@ def dedup_minhash_lsh(
         batch_size=None,
     )
     overflow = repart.map_batches(
-        salt_rows, batch_format="pyarrow", batch_size=None
+        lambda t: _overflow_salt_rows(t, n_max),
+        batch_format="pyarrow",
+        batch_size=None,
     ).materialize()
     if overflow.count():
-        salted = keyed_exchange(overflow, "dest", nparts).map_batches(
+        salted = keyed_repartition(overflow, ["band_key", "sa", "sb"], nparts).map_batches(
             _salted_segment_pairs, batch_format="pyarrow", batch_size=None
         )
         cands = direct.union(salted)
@@ -1114,10 +1018,11 @@ def dedup_simhash(sf_dir: str):
         )
 
     ds = _read_documents(sf_dir, columns=["doc_id", "text"])
-    return (
-        ds.map_batches(add_simhash, batch_format="pyarrow")
-        .groupby("simhash", num_partitions=shuffle_partitions())
-        .map_groups(collect, batch_format="pyarrow")
+    return keyed_map_groups(
+        ds.map_batches(add_simhash, batch_format="pyarrow"),
+        ["simhash"],
+        collect,
+        shuffle_partitions(),
     )
 
 
@@ -1277,9 +1182,10 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
     hash collision the counts equal those of the DuckDB oracle, which
     hashes the window strings.
 
-    Scale shape: two ``rayutil.keyed_exchange`` calls of plain tasks (no
-    actors): the first keys on ``gram % n``, so every gram group meets
-    in one partition; the second keys on a hash of the pair, and each
+    Scale shape: two keyed exchanges of plain tasks (no actors): the
+    first (``rayutil.keyed_repartition``) keys on the gram, so every
+    gram group meets in one partition; the second is
+    ``rayutil.sized_groupby_agg``'s exchange on the pair, and each
     partition counts its pairs with one pyarrow group_by (both exchanges
     run when this is called; the returned count map is lazy). Exchange
     rows ~ one per distinct window per doc (bounded by tokens/doc);
@@ -1296,7 +1202,6 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
             {
                 "gram": pa.array(grams, pa.uint64()),
                 "doc_id": pa.array(np.repeat(ids, np.diff(off)), pa.int64()),
-                "part": _hash_part(grams, nparts),
             }
         )
 
@@ -1320,17 +1225,22 @@ def dedup_shared_window(sf_dir: str, window: int = 8, n_max: int = 1000):
             }
         )
 
-    grams = keyed_exchange(
+    grams = keyed_repartition(
         _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
             emit_grams, batch_format="pyarrow"
         ),
-        "part",
+        ["gram"],
         nparts,
     )
     pairs = grams.map_batches(
         gram_group_pairs, batch_format="pyarrow", batch_size=None
     )
-    return _count_pairs(pairs, nparts, "shared_windows")
+    return sized_groupby_agg(
+        pairs,
+        ["doc_id1", "doc_id2"],
+        [("", "count", "shared_windows")],
+        num_partitions=nparts,
+    )
 
 
 def decontaminate(sf_dir: str, benchmark_texts, window: int = 8):

@@ -13,13 +13,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import join_partitions, shuffle_partitions
+from ..rayutil import keyed_join, keyed_map_groups, keyed_repartition
 
 
 def _read(sf_dir: str, table: str, columns=None):
     """Relational-table read: bytes-aware block count (these queries
-    feed small tables straight into hash exchanges, where push cost is
-    blocks x partitions — see ``sources.io.sized_read_blocks``)."""
+    feed small tables straight into keyed exchanges, whose split cost is
+    blocks x partitions slices — see ``sources.io.sized_read_blocks``)."""
     from ..sources.io import read_parquet_sized
 
     return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -28,9 +28,10 @@ def _read(sf_dir: str, table: str, columns=None):
 def _parts(sf_dir: str, *tables: str) -> int:
     """Bytes/rows-aware exchange partition count from the query's source
     tables (``sources.io.sized_table_partitions``): a 2 MB events table
-    does not need 32 aggregator actors — fixed per-aggregator overhead
-    dominates small exchanges, while the anti-OOM growth term still
-    scales partition counts for 100 TB inputs."""
+    does not need 32 partitions — each costs a merge task and its slice
+    objects, which dominate small exchanges — while the anti-OOM growth
+    term still scales partition counts for 100 TB inputs. Every keyed
+    exchange and join of these queries uses it."""
     from ..sources.io import sized_table_partitions
 
     return sized_table_partitions([f"{sf_dir}/{t}.parquet" for t in tables])
@@ -40,9 +41,10 @@ def _agg(ds, keys, specs, sf_dir: str, *tables: str):
     """Budget-guarded grouped aggregate over ``ds`` whose source tables
     are knowable local parquet (``rayutil.sized_groupby_agg``): a driver
     pyarrow group_by of the pre-aggregated partials when the sources are
-    small (the hash-aggregate exchange costs seconds of fixed actor
-    startup regardless of bytes), the sized distributed exchange
-    otherwise. Both paths are bit-identical (fixed-point aggregates)."""
+    small (an exchange's fixed cost — a split task per block, a merge
+    task per partition, a barrier — exceeds grouping a few MB), the
+    sized keyed exchange otherwise. Both paths are bit-identical
+    (fixed-point aggregates)."""
     from ..rayutil import sized_groupby_agg
     from ..sources.io import _local_bytes
 
@@ -58,7 +60,7 @@ def _agg(ds, keys, specs, sf_dir: str, *tables: str):
 def _from_pandas(g) -> pa.Table:
     """``pa.Table.from_pandas`` without the ``b'pandas'`` schema metadata
     it attaches: a schema carrying ANY metadata dict is unhashable, and
-    blocks born dirty make every downstream hash-shuffle/join aggregator
+    blocks born dirty make Ray Data's schema unification (block concat)
     log ``Failed to hash the schemas`` and take the slow unify path
     (same contract as sources/io.read_parquet_clean, but for blocks
     created INSIDE map stages)."""
@@ -108,8 +110,6 @@ def pricing_summary(sf_dir: str):
             n_rows=("qty_c", "size"),
         )
         return _from_pandas(g)
-
-    from ray.data.aggregate import Sum
 
     partials = _read(
         sf_dir,
@@ -187,12 +187,10 @@ def _rev_c_to_revenue(t: pa.Table) -> pa.Table:
 
 def _revenue_by_nation_join(sf_dir: str, cust_ds, nat_map: dict):
     """Scale path: customer is too big to broadcast, so the cust→nation
-    attachment is a second hash join on the customer key; revenue
+    attachment is a second keyed join on the customer key; revenue
     pre-aggregates per custkey before it (join input ~ |customers|,
     not |orders|). Nation (25 rows) still broadcasts."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     nat_ref = ray.put(nat_map)
 
@@ -200,12 +198,8 @@ def _revenue_by_nation_join(sf_dir: str, cust_ds, nat_map: dict):
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     ).map_batches(_line_rev_partial, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    per_order = line.join(
-        orders,
-        join_type="inner",
-        on=("o_orderkey",),
-        num_partitions=join_partitions(),
-    )
+    n = _parts(sf_dir, "lineitem", "orders", "customer")
+    per_order = keyed_join(line, orders, "o_orderkey", n)
 
     def cust_partial(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -222,11 +216,8 @@ def _revenue_by_nation_join(sf_dir: str, cust_ds, nat_map: dict):
         )
         return _from_pandas(g)
 
-    per_cust = per_order.map_batches(cust_partial, batch_format="pyarrow").join(
-        cust_ds,
-        join_type="inner",
-        on=("c_custkey",),
-        num_partitions=join_partitions(),
+    per_cust = keyed_join(
+        per_order.map_batches(cust_partial, batch_format="pyarrow"), cust_ds, "c_custkey", n
     )
 
     def attach(t: pa.Table) -> pa.Table:
@@ -264,12 +255,12 @@ def _revenue_by_nation_join(sf_dir: str, cust_ds, nat_map: dict):
 def revenue_by_nation(sf_dir: str, broadcast_max_rows: int = 5_000_000):
     """3-way join expressed Ray-Data-first for star schemas (SURVEY.md
     J1/J2): lineitem pre-aggregates per order inside map_batches
-    (fixed-point partials), then joins the fact-sized orders table with
-    a hash ``Dataset.join``. The customer⋈nation side is SIZE-GUARDED:
+    (fixed-point partials), then joins the fact-sized orders table
+    (``rayutil.sized_broadcast_join``). The customer⋈nation side is SIZE-GUARDED:
     below ``broadcast_max_rows`` customers it broadcasts via ray.put
     (one object fetch per worker, no exchange); above — the customer
     dimension grows linearly with the corpus, so a GB-scale dict per
-    worker would not hold — it becomes a second hash join on o_custkey
+    worker would not hold — it becomes a second keyed join on o_custkey
     (nation alone always broadcasts: 25 rows)."""
     import ray
 
@@ -306,8 +297,6 @@ def revenue_by_nation(sf_dir: str, broadcast_max_rows: int = 5_000_000):
             .sum()
         )
         return _from_pandas(g)
-
-    from ray.data.aggregate import Sum
 
     from ..rayutil import sized_broadcast_join
     from ..sources.io import _local_bytes
@@ -391,8 +380,6 @@ def events_hour_window(sf_dir: str):
         )
         return _from_pandas(g)
 
-    from ray.data.aggregate import Sum
-
     agg = _agg(
         _read(sf_dir, "events", ["ts", "user_id", "value"]).map_batches(
             bucket_partial, batch_format="pyarrow"
@@ -446,8 +433,6 @@ def events_hopping_window(sf_dir: str, size_us: int = 3_600_000_000, hop_us: int
         )
         return _from_pandas(g)
 
-    from ray.data.aggregate import Sum
-
     agg = _agg(
         _read(sf_dir, "events", ["ts", "user_id", "value"]).map_batches(
             window_partial, batch_format="pyarrow"
@@ -474,8 +459,6 @@ def events_hopping_window(sf_dir: str, size_us: int = 3_600_000_000, hop_us: int
 
 def block_census_docs(sf_dir: str):
     """Block-size census over (lang, source) — the commonness census A1."""
-    from ray.data.aggregate import Count
-
     return _agg(
         _read(sf_dir, "documents", ["lang", "source"]),
         ["lang", "source"],
@@ -541,11 +524,17 @@ def pair_gen_docs(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang", "source"])
-        .groupby(["lang", "source"], num_partitions=_parts(sf_dir, "documents"))
-        .map_groups(pairs, batch_format="pyarrow")
+    return keyed_map_groups(
+        _read(sf_dir, "documents", ["doc_id", "lang", "source"]),
+        ["lang", "source"],
+        pairs,
+        _parts(sf_dir, "documents"),
     )
+
+
+def _segment_keys(t: pa.Table, segment: str) -> pa.Table:
+    """The customers of one market segment, as (c_custkey) rows."""
+    return t.filter(pc.equal(t["c_mktsegment"], segment)).select(["c_custkey"])
 
 
 def semi_join_orders(
@@ -555,39 +544,46 @@ def semi_join_orders(
     database/pubmed_inner_outer_feature.sql:91-92): keep orders whose
     customer is in the segment. SIZE-GUARDED: below
     ``broadcast_max_rows`` filtered customers, the key set broadcasts
-    (sorted int64 array + searchsorted membership — no shuffle at all);
+    (sorted int64 array + searchsorted membership — no exchange at all);
     above — the customer dimension grows with the corpus — it becomes a
-    hash ``Dataset.join`` on the customer key."""
+    ``rayutil.keyed_join`` on the customer key. The segment filter runs
+    once: one pass collects its blocks and row count, and either path
+    reads those blocks."""
     import ray
+    import ray.data as rd
 
-    cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-
-    def seg_filter(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["c_mktsegment"], segment)).select(["c_custkey"])
-
-    seg_keys = cust_ds.map_batches(seg_filter, batch_format="pyarrow")
+    seg_keys = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        _segment_keys, fn_kwargs={"segment": segment}, batch_format="pyarrow"
+    )
+    refs, n_keys = [], 0
+    for bundle in seg_keys.iter_internal_ref_bundles():
+        refs.extend(bundle.block_refs)
+        n_keys += bundle.num_rows()
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
-    n_keys = seg_keys.count()
     if n_keys > broadcast_max_rows:
-        # semi-join via hash join: keys are unique per customer, so an
-        # inner join neither duplicates nor drops order rows
+        # semi-join via inner join: keys are unique per customer, so it
+        # neither duplicates nor drops order rows, and the right side
+        # adds no column
         def rekey(t: pa.Table) -> pa.Table:
             return t.rename_columns(["o_custkey"])
 
-        joined = orders.join(
-            seg_keys.map_batches(rekey, batch_format="pyarrow"),
-            join_type="inner",
-            on=("o_custkey",),
-            num_partitions=join_partitions(),
-        )
-        return joined.map_batches(
-            lambda t: t.select(["o_orderkey", "o_custkey", "o_totalprice"]),
-            batch_format="pyarrow",
+        return keyed_join(
+            orders,
+            rd.from_arrow_refs(refs).map_batches(rekey, batch_format="pyarrow"),
+            "o_custkey",
+            _parts(sf_dir, "orders", "customer"),
         )
 
     keys = np.sort(
-        seg_keys.to_pandas()["c_custkey"].to_numpy().astype(np.int64)
+        np.concatenate(
+            [np.empty(0, np.int64)]
+            + [
+                np.asarray(t["c_custkey"].to_numpy(zero_copy_only=False), np.int64)
+                for t in ray.get(refs)
+                if t.num_rows
+            ]
+        )
     )
     ref = ray.put(keys)
 
@@ -609,12 +605,11 @@ def semi_join_orders(
 
 
 def join_order_priority_revenue(sf_dir: str):
-    """Large-side hash join via ``Dataset.join`` (orders ⋈ lineitem on the
-    order key — both sides bigger than broadcast budget at scale), then
+    """Large-side join (orders ⋈ lineitem on the order key, a
+    ``rayutil.keyed_join`` once both sides outgrow the broadcast budget
+    of ``sized_broadcast_join``), then
     fixed-point revenue rollup per priority class."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     line = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
@@ -668,8 +663,6 @@ def user_activity(sf_dir: str):
     partials keyed (user, event_type), one groupby on that pair, then a
     per-user rollup where Count() of the pair rows IS the distinct-type
     count."""
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     def partial(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -775,11 +768,9 @@ def events_sessions(sf_dir: str, gap_us: int = 1_800_000_000):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .repartition(num_blocks=_parts(sf_dir, "events"), keys=["user_id"])
-        .map_batches(sessions, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_repartition(
+        _read(sf_dir, "events", ["user_id", "ts"]), ["user_id"], _parts(sf_dir, "events")
+    ).map_batches(sessions, batch_format="pyarrow", batch_size=None)
 
 
 def deterministic_sample(sf_dir: str, keep_hex: str = "4c"):
@@ -850,9 +841,7 @@ def rank_docs(sf_dir: str):
             }
         )
 
-    return ds.groupby("n_chars", num_partitions=_parts(sf_dir, "documents")).map_groups(
-        rank_group, batch_format="pyarrow"
-    )
+    return keyed_map_groups(ds, ["n_chars"], rank_group, _parts(sf_dir, "documents"))
 
 
 def top_docs_per_block(sf_dir: str, k: int = 3):
@@ -884,11 +873,11 @@ def top_docs_per_block(sf_dir: str, k: int = 3):
         df = df[df["rank"] <= k]
         return _from_pandas(df)
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
-        .repartition(num_blocks=_parts(sf_dir, "documents"), keys=["lang", "source"])
-        .map_batches(topk, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_repartition(
+        _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"]),
+        ["lang", "source"],
+        _parts(sf_dir, "documents"),
+    ).map_batches(topk, batch_format="pyarrow", batch_size=None)
 
 
 def events_lag_delta(sf_dir: str):
@@ -937,11 +926,11 @@ def events_lag_delta(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "value"])
-        .repartition(num_blocks=_parts(sf_dir, "events"), keys=["user_id"])
-        .map_batches(lag, batch_format="pyarrow", batch_size=None)
-    )
+    return keyed_repartition(
+        _read(sf_dir, "events", ["user_id", "ts", "value"]),
+        ["user_id"],
+        _parts(sf_dir, "events"),
+    ).map_batches(lag, batch_format="pyarrow", batch_size=None)
 
 
 def event_value_median(sf_dir: str):
@@ -951,8 +940,6 @@ def event_value_median(sf_dir: str):
     per-type cumulative walk picks quantile_disc(0.5) — the
     distributed-histogram route that scales to any row count while
     staying bit-identical to DuckDB's quantile_disc."""
-    from ray.data.aggregate import Sum
-
     def hist_partial(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1002,9 +989,9 @@ def event_value_median(sf_dir: str):
             }
         )
 
-    return hist.repartition(
-        num_blocks=_parts(sf_dir, "events"), keys=["event_type"]
-    ).map_batches(median_walk, batch_format="pyarrow", batch_size=None)
+    return keyed_repartition(hist, ["event_type"], _parts(sf_dir, "events")).map_batches(
+        median_walk, batch_format="pyarrow", batch_size=None
+    )
 
 
 def title_repair(sf_dir: str):
@@ -1017,8 +1004,6 @@ def title_repair(sf_dir: str):
     native Max aggregate (pack = n_chars * 2^33 + (2^33 - doc_id), so
     max length wins and the LOWEST doc_id breaks ties), then a hash
     join back — no driver-side state, scales with key cardinality."""
-    from ray.data.aggregate import Max
-
     PACK = 1 << 33
 
     def key_rows(t: pa.Table) -> pa.Table:

@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import join_partitions, shuffle_partitions
+from ..rayutil import keyed_join, keyed_repartition, shuffle_partitions
 
 # fixed stopword list mirrored verbatim in the SQL oracle
 QUALITY_STOPWORDS = ("the", "a", "of", "and", "to", "in", "is", "on", "for", "with")
@@ -385,17 +385,15 @@ def doc_keywords(sf_dir: str, top_k: int = 5, small_budget_bytes: int = 32 << 20
     fully distributed — no driver-side vocabulary:
 
         explode (doc_id, token, tf)  [per-batch Counter, one pass]
-        -> groupby(token).count() = document frequencies  [shuffle 1]
-        -> Dataset.join tf-rows x df-table on token        [shuffle 2]
-        -> hash-repartition by doc_id, vectorized per-partition
-           top-k (pandas sort + groupby.head)              [shuffle 3]
+        -> count per token = document frequencies      [exchange 1]
+        -> keyed_join tf-rows x df-table on token       [exchange 2]
+        -> keyed_repartition by doc_id, vectorized per-partition
+           top-k (pandas sort + groupby.head)           [exchange 3]
 
     idf = ln((1+N)/(1+df)) + 1, score = tf*idf, tie-break by token —
     bit-identical to the DuckDB window-SQL oracle.
     Output: (doc_id, keywords csv)."""
     import math
-
-    from ray.data.aggregate import Count
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     n_docs = ds.count()
@@ -481,15 +479,13 @@ def doc_keywords(sf_dir: str, top_k: int = 5, small_budget_bytes: int = 32 << 20
             attach_df_topk, batch_format="pyarrow", batch_size=None
         )
 
-    joined = tf_ds.join(
-        sized_groupby_agg(tf_ds, ["token"], [("", "count", "df")], driver=False),
-        join_type="inner",
-        on=("token",),
-        num_partitions=join_partitions(),
+    n = shuffle_partitions()
+    dfs = sized_groupby_agg(
+        tf_ds, ["token"], [("", "count", "df")], num_partitions=n, driver=False
     )
-    return joined.repartition(
-        num_blocks=shuffle_partitions(), keys=["doc_id"]
-    ).map_batches(topk, batch_format="pyarrow", batch_size=None)
+    return keyed_repartition(keyed_join(tf_ds, dfs, "token", n), ["doc_id"], n).map_batches(
+        topk, batch_format="pyarrow", batch_size=None
+    )
 
 
 def doc_rolling_fingerprint(sf_dir: str, window: int = 8):

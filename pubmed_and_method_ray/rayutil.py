@@ -1,8 +1,13 @@
-"""Small Ray helpers shared by stages/pipelines."""
+"""Small Ray helpers shared by stages/pipelines, and the engine's one
+exchange: ``split_blocks``/``keyed_exchange`` and the keyed primitives
+built on them (``keyed_repartition``, ``keyed_map_groups``,
+``keyed_join`` and ``sized_groupby_agg``'s exchange path), all keyed by
+one hash (``key_hash``)."""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 
 def cluster_cpus(default: int = 8) -> int:
@@ -15,38 +20,13 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
-def _tune_aggregator_pool(cpus: int) -> None:
-    """Cap the hash-shuffle aggregator-actor pool at ~cpus/4 (floor 8).
-
-    Aggregators mostly concatenate received partitions; one actor can
-    serve several partitions (Ray scales its CPU share by the ratio).
-    Fewer actors = fewer worker-process startups per exchange — measured
-    interleaved at 32 cpus / 400k pages: pair exchange 33.2/38.1 s with
-    64 aggregators vs 31.5/34.7 s with 8 (both rounds favor fewer). The
-    cap scales with cluster CPUs, so a multi-node cluster still gets
-    enough SPREAD aggregators to use every node's memory bandwidth."""
-    try:
-        from ray.data.context import DataContext
-
-        DataContext.get_current().max_hash_shuffle_aggregators = max(
-            8, cpus // 4
-        )
-    except Exception:  # pragma: no cover — older ray
-        pass
-
-
 def tune_data_context(cpus: int | None = None) -> None:
-    """One-stop DataContext tune (idempotent): the aggregator-pool cap
-    plus the read-op block floor. Ray's static 200-block read floor is
-    wrong in both directions: on a 32-cpu node it shreds a ~1 GB input
-    into 256 tiny blocks whose (blocks x partitions) per-shard aggregator
-    round-trips dominate hash-exchange wall — each push task ray.puts and
-    actor-submits one shard PER PARTITION and then blocks on the acks
-    (ray hash_shuffle.py `_shuffle_block`), so push overhead is
-    blocks x partitions (``keyed_exchange`` puts the same blocks x
-    partitions slices, without the actor round-trips); measured when the
-    ER pair exchange was still a keyed repartition: it ran 2-3x faster
-    from 2-per-CPU blocks than from 200-floor blocks at identical bytes
+    """Read-op block floor (idempotent). Ray's static 200-block read
+    floor is wrong in both directions: on a 32-cpu node it shreds a ~1 GB
+    input into 256 tiny blocks, and an exchange's split cost is blocks x
+    partitions slices (``keyed_exchange``); measured when the ER pair
+    exchange was still a keyed repartition, it ran 2-3x faster from
+    2-per-CPU blocks than from 200-floor blocks at identical bytes
     (5.1-5.8 s vs 10.9-18.5 s, 400k pages / 1.2 GB / 32 partitions).
     On a 256-node cluster the same floor is too LOW —
     200 blocks cannot feed 8192 cores. Floor = 2 blocks/CPU, which is
@@ -54,7 +34,6 @@ def tune_data_context(cpus: int | None = None) -> None:
     min_safe_parallelism (mem_size / target_max_block_size) still grows
     block counts for big inputs, so the anti-OOM path is untouched."""
     cpus = cluster_cpus() if cpus is None else cpus
-    _tune_aggregator_pool(cpus)
     try:
         from ray.data.context import DataContext
 
@@ -77,14 +56,11 @@ def partition_ceiling(cpus: int) -> int:
 def shuffle_partitions(
     factor: int = 1, lo: int = 2, hi: int | None = None, cpus: int | None = None
 ) -> int:
-    """Partition count for hash-shuffle groupbys/joins: ~`factor` per CPU.
-
-    Hash-shuffle aggregators are actors; the default parallelism can
-    exceed small clusters' CPUs and deadlock scheduling, so every
-    groupby/join in this engine sizes its exchange explicitly. As a
-    side effect (deliberate: this runs after ray.init, when cluster
-    CPUs are knowable, unlike the import-time config in __init__.py)
-    the aggregator pool cap is tuned to the cluster size."""
+    """Partition count for the engine's keyed exchanges: ~`factor` per
+    CPU, clamped to [lo, partition_ceiling]. Every exchange sizes its
+    partition count explicitly. As a side effect (deliberate: this runs
+    after ray.init, when cluster CPUs are knowable) the read-op block
+    floor is tuned to the cluster size (``tune_data_context``)."""
     cpus = cluster_cpus() if cpus is None else cpus
     tune_data_context(cpus)
     if hi is None:
@@ -100,11 +76,12 @@ def sized_partitions(
     n_bytes: int | None = None,
     bytes_per_part: int = 256 << 20,
 ) -> int:
-    """Data-aware partition count for hash exchanges whose input size is
-    already known (e.g. from a materialized upstream). Two forces:
+    """Data-aware partition count for keyed exchanges whose input size
+    is already known (e.g. from a materialized upstream). Two forces:
 
-    - small exchanges SHRINK below one-per-CPU (fixed per-aggregator
-      overhead dominates): ~``rows_per_part`` rows per partition;
+    - small exchanges SHRINK below one-per-CPU (each partition costs a
+      merge task and blocks x 1 slice objects): ~``rows_per_part`` rows
+      per partition;
     - big exchanges GROW past the CPU count so a partition block stays
       bounded (~``bytes_per_part``) regardless of input scale — the
       anti-OOM guarantee a fixed cap cannot give.
@@ -243,6 +220,216 @@ def keyed_exchange(ds, part_col: str, n_parts: int):
     return rd.from_arrow_refs([merge.remote(*col) for col in parts])
 
 
+# a null key value's hash: every null of a key column meets in one
+# partition (pyarrow's group_by groups nulls together; joins drop them)
+_NULL_HASH = 0x6E756C6C6B6579  # b"nullkey"
+
+# the exchange column the keyed primitives add and drop again (a name no
+# caller's table uses: some carry a "part" column of their own)
+_PART = "__part"
+
+
+def _column_hash(a) -> "np.ndarray":
+    """uint64 hash of each value of one key column: splitmix64 of the
+    int64 bits for integers (uint64 keys >= 2^63 included) and temporal
+    or boolean values, a splitmix64 fold over the 8-byte words of a
+    fixed-size binary (the LSH band keys), ``fnv64_arrow`` for strings
+    and binary (once per distinct value), ``_NULL_HASH`` for a null."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .functions.hashing import fnv64_arrow, splitmix64
+
+    a = a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+    typ = a.type
+    if not len(a):
+        return np.empty(0, np.uint64)
+    if pa.types.is_fixed_size_binary(typ):
+        nw = typ.byte_width // 8
+        words = np.frombuffer(
+            a.buffers()[1], dtype=np.uint64, count=(a.offset + len(a)) * nw
+        )[a.offset * nw :].reshape(len(a), nw)
+        h = splitmix64(words[:, 0])
+        for j in range(1, nw):
+            h = splitmix64(h ^ words[:, j])
+    elif any(
+        is_t(typ)
+        for is_t in (
+            pa.types.is_string,
+            pa.types.is_large_string,
+            pa.types.is_binary,
+            pa.types.is_large_binary,
+        )
+    ):
+        enc = a.dictionary_encode()
+        h = np.zeros(len(a), np.uint64)
+        if len(enc.dictionary):
+            h = fnv64_arrow(enc.dictionary)[np.asarray(enc.indices.fill_null(0), np.int64)]
+    else:
+        if not pa.types.is_integer(typ):
+            a = a.cast(pa.int64())
+        v = np.asarray(pc.fill_null(a, 0).to_numpy(zero_copy_only=False))
+        h = splitmix64(v.astype(np.int64).view(np.uint64))
+    if a.null_count:
+        h[np.asarray(a.is_null())] = np.uint64(_NULL_HASH)
+    return h
+
+
+def key_hash(t, keys) -> "np.ndarray":
+    """The engine's one key hash: uint64 per row of ``t`` over its
+    ``keys`` columns (``_column_hash`` of the first, each further
+    column folded in as h = splitmix64(h ^ column hash))."""
+    from .functions.hashing import splitmix64
+
+    h = _column_hash(t[keys[0]])
+    for k in keys[1:]:
+        h = splitmix64(h ^ _column_hash(t[k]))
+    return h
+
+
+def key_parts(t, keys, n_parts: int) -> "np.ndarray":
+    """Each row's exchange partition: its ``key_hash`` mod ``n_parts``
+    (int64)."""
+    import numpy as np
+
+    return (key_hash(t, list(keys)) % np.uint64(n_parts)).astype(np.int64)
+
+
+def with_key_part(t, keys, n_parts: int, part_col: str = "part"):
+    """``t`` plus its ``key_parts`` as an int64 ``part_col``."""
+    import pyarrow as pa
+
+    return t.append_column(part_col, pa.array(key_parts(t, keys, n_parts), pa.int64()))
+
+
+def _merge_keyed(*slices):
+    """Merge task of ``keyed_repartition`` (and each side of a
+    ``keyed_join`` partition): the slices merged, the exchange column
+    dropped; no slice at all merges to a column-less empty table."""
+    import pyarrow as pa
+
+    t = _merge_part(pa.table({}), *slices)
+    return t.drop_columns([_PART]) if _PART in t.column_names else t
+
+
+def _key_split(ds, keys, n_parts: int):
+    return split_blocks(
+        ds,
+        _PART,
+        n_parts,
+        partial(with_key_part, keys=list(keys), n_parts=n_parts, part_col=_PART),
+    )
+
+
+def keyed_repartition(ds, keys, n_parts: int):
+    """``keyed_exchange`` on the ``key_hash`` of the ``keys`` columns:
+    output block i holds exactly the rows whose key hashes to partition
+    i (empty blocks included), with the input's columns. The hash is
+    computed inside the split tasks, one per block of ``ds``; every row
+    of a key meets in one block, so a ``map_batches(...,
+    batch_size=None)`` after it sees whole groups."""
+    import ray
+    import ray.data as rd
+
+    merge = ray.remote(_merge_keyed)
+    return rd.from_arrow_refs(
+        [merge.remote(*col) for col in _key_split(ds, keys, n_parts)]
+    )
+
+
+def _group_ids(t, keys) -> "np.ndarray":
+    """Dense int64 group id per row of ``t`` over its ``keys`` columns
+    (a null is a value of its own)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    gid = np.zeros(t.num_rows, np.int64)
+    for k in keys:
+        enc = pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode")
+        code = np.asarray(enc.indices, np.int64)
+        _, gid = np.unique(gid * len(enc.dictionary) + code, return_inverse=True)
+    return gid
+
+
+def _map_groups_part(t, keys, fn):
+    """One partition of ``keyed_map_groups``: sort by group, one ``fn``
+    call per group slice, the outputs concatenated."""
+    import numpy as np
+    import pyarrow as pa
+
+    gid = _group_ids(t, keys)
+    order = np.argsort(gid, kind="stable")
+    t = t.take(pa.array(order, pa.int64()))
+    bounds = np.flatnonzero(np.r_[True, np.diff(gid[order]) != 0, True])
+    return pa.concat_tables(
+        [fn(t.slice(s, e - s)) for s, e in zip(bounds[:-1], bounds[1:])],
+        promote_options="default",
+    )
+
+
+def keyed_map_groups(ds, keys, fn, n_parts: int):
+    """``Dataset.groupby(keys).map_groups(fn)`` on ``keyed_repartition``:
+    ``fn(group table) -> table`` runs once per distinct key."""
+    return keyed_repartition(ds, keys, n_parts).map_batches(
+        _map_groups_part,
+        fn_kwargs={"keys": list(keys), "fn": fn},
+        batch_format="pyarrow",
+        batch_size=None,
+    )
+
+
+def _group_agg(t, keys, specs):
+    """The grouped-aggregate kernel of both ``sized_groupby_agg`` paths:
+    one pyarrow group_by, its outputs renamed to the spec aliases."""
+    res = t.group_by(keys, use_threads=False).aggregate(
+        [([], "count_all") if fn == "count" else (c, fn) for c, fn, _ in specs]
+    )
+    # pyarrow emits keys first, then "<col>_<fn>" / "count_all" in spec
+    # order
+    return res.rename_columns(list(keys) + [alias for _, _, alias in specs])
+
+
+def _inner_join(lt, rt, on: str):
+    """Inner join of two tables on ``on``: only the key and a row index
+    go through pyarrow's join (pyarrow 16.1 rejects list-typed non-key
+    columns), every other column is attached with ``take``. Left
+    columns first, then the right's non-key columns; null keys never
+    match."""
+    import numpy as np
+    import pyarrow as pa
+
+    if not lt.num_columns or not rt.num_columns:
+        return pa.table({})
+    li = pa.table({on: lt[on], "__l": pa.array(np.arange(lt.num_rows), pa.int64())})
+    ri = pa.table({on: rt[on], "__r": pa.array(np.arange(rt.num_rows), pa.int64())})
+    j = li.join(ri, on, join_type="inner", use_threads=False)
+    lidx, ridx = j["__l"], j["__r"]
+    cols = {c: lt[c].take(lidx) for c in lt.column_names}
+    cols.update({c: rt[c].take(ridx) for c in rt.column_names if c != on})
+    return pa.table(cols)
+
+
+def _join_part(on: str, n_left: int, *slices):
+    """Per-partition task of ``keyed_join``."""
+    return _inner_join(_merge_keyed(*slices[:n_left]), _merge_keyed(*slices[n_left:]), on)
+
+
+def keyed_join(left, right, on: str, n_parts: int):
+    """Inner join of two Datasets on column ``on``: both sides split by
+    the same ``key_hash``, and one task per partition merges its slices
+    of both sides and joins them (``_inner_join``). A right key that
+    repeats multiplies its left rows, as in SQL."""
+    import ray
+    import ray.data as rd
+
+    task = ray.remote(_join_part)
+    lp, rp = _key_split(left, [on], n_parts), _key_split(right, [on], n_parts)
+    return rd.from_arrow_refs(
+        [task.remote(on, len(a), *a, *b) for a, b in zip(lp, rp)]
+    )
+
+
 def lpt_buckets(weights, n_buckets: int):
     """Longest-processing-time assignment of weighted items to
     ``n_buckets`` bins (returns one bucket id per item, same order as
@@ -266,18 +453,6 @@ def lpt_buckets(weights, n_buckets: int):
     return out
 
 
-def join_partitions(lo: int = 2, hi: int | None = None) -> int:
-    """Partition count for ``Dataset.join``: ~cpus/2. Join aggregators
-    are heavier actors than groupby's — measured on a 32-cpu node, a
-    150k x 150k join runs 4.2s at 8 partitions vs 7.7s at 32 (actor
-    startup dominates); cpus/2 balances that against per-partition
-    memory at scale."""
-    cpus = cluster_cpus()
-    if hi is None:
-        hi = partition_ceiling(cpus)
-    return max(lo, min(hi, cpus // 2))
-
-
 def sized_groupby_agg(
     ds,
     keys: "list[str]",
@@ -288,26 +463,24 @@ def sized_groupby_agg(
     budget_bytes: int = 32 << 20,
     driver: "bool | None" = None,
 ):
-    """Budget-guarded grouped aggregate: driver merge for small knowable
-    inputs, hash-aggregate exchange otherwise (same auto/forced contract
-    as the skew census and canonical-CC driver paths).
+    """Budget-guarded grouped aggregate: one driver-side pyarrow
+    group_by for small knowable inputs, the keyed exchange otherwise
+    (same auto/forced contract as the skew census and canonical-CC
+    driver paths). Both paths run the same kernel (``_group_agg``).
 
-    Ray's hash-aggregate exchange has seconds of FIXED cost (aggregator
-    actor startup, push-barrier rounds, finalize trickle) regardless of
-    bytes — measured ~3 s to aggregate a 2 MB events table that a single
-    vectorized pyarrow group_by finishes in milliseconds. When the
-    query's source bytes are knowable (parquet footers) and under
-    ``budget_bytes`` (compressed), gather the per-batch PARTIALS (already
-    pre-aggregated upstream) and run one driver-side
-    ``pyarrow.TableGroupBy``; otherwise run the distributed exchange.
-    Only associative integer aggregates ride through here (the engine's
-    fixed-point convention), so both paths are bit-identical — asserted
-    by forced-path parity tests.
+    When the query's source bytes are knowable (parquet footers) and
+    under ``budget_bytes`` (compressed), gather the per-batch PARTIALS
+    (already pre-aggregated upstream) and group them once on the driver;
+    otherwise ``keyed_repartition`` exchanges the rows on the keys into
+    ``num_partitions`` partitions (default ``shuffle_partitions()``) and
+    a map task groups each partition. Only associative integer
+    aggregates ride through here (the engine's fixed-point convention),
+    so both paths are bit-identical — asserted by forced-path parity
+    tests.
 
     ``specs`` is ``[(col, fn, alias), ...]`` with fn in {sum, min, max,
     count} (``count`` ignores ``col`` and counts rows). Empty ``specs``
-    = DISTINCT over key-only rows. ``driver`` forces a path
-    (tests/soaks).
+    = DISTINCT over the keys. ``driver`` forces a path (tests/soaks).
     """
     import pyarrow as pa
     import ray
@@ -317,34 +490,15 @@ def sized_groupby_agg(
         driver = n_bytes is not None and n_bytes <= budget_bytes
     if driver:
         tables = ray.get(ds.to_arrow_refs())
-        if not tables:
-            driver = False  # empty-plan edge: let Ray produce the schema
-    if not driver:
-        nparts = num_partitions or shuffle_partitions()
-        if not specs:
-            return ds.groupby(keys, num_partitions=nparts).map_groups(
-                lambda g: g.slice(0, 1), batch_format="pyarrow"
-            )
-        from ray.data.aggregate import Count, Max, Min, Sum
-
-        mk = {"sum": Sum, "min": Min, "max": Max}
-        aggs = [
-            Count(alias_name=alias)
-            if fn == "count"
-            else mk[fn](c, alias_name=alias)
-            for c, fn, alias in specs
-        ]
-        return ds.groupby(keys, num_partitions=nparts).aggregate(*aggs)
-
-    tbl = pa.concat_tables(tables, promote_options="default")
-    res = tbl.group_by(keys).aggregate(
-        [([], "count_all") if fn == "count" else (c, fn) for c, fn, _ in specs]
+        if tables:
+            tbl = pa.concat_tables(tables, promote_options="default")
+            return rd.from_arrow(_group_agg(tbl, keys, specs))
+    return keyed_repartition(ds, keys, num_partitions or shuffle_partitions()).map_batches(
+        _group_agg,
+        fn_kwargs={"keys": list(keys), "specs": specs},
+        batch_format="pyarrow",
+        batch_size=None,
     )
-    # pyarrow emits keys first, then "<col>_<fn>" / "count_all" in spec
-    # order — rename to the aliases (key-first order already matches
-    # Ray's groupby.aggregate)
-    res = res.rename_columns(list(keys) + [alias for _, _, alias in specs])
-    return rd.from_arrow(res)
 
 
 def sized_broadcast_join(
@@ -358,16 +512,16 @@ def sized_broadcast_join(
     driver: "bool | None" = None,
 ):
     """Budget-guarded INNER join: broadcast-map when the right side is
-    small and unique-keyed, hash-exchange ``Dataset.join`` otherwise.
+    small and unique-keyed, ``keyed_join`` otherwise.
 
-    Ray 2.49's hash join pays two exchanges plus heavier aggregator
-    actors; for an N:1 join against a reference table of knowable small
-    size (compressed parquet bytes <= ``budget_bytes``) the engine
-    instead gathers the RIGHT side once, ``ray.put``s sorted key/value
-    arrays, and attaches the right columns with one vectorized
-    searchsorted per left batch — no shuffle at all, and the left side
-    keeps streaming. Falls back to ``Dataset.join`` when the size is
-    unknowable, over budget, or the right keys are not unique (the
+    A keyed join exchanges both sides; for an N:1 join against a
+    reference table of knowable small size (compressed parquet bytes <=
+    ``budget_bytes``) the engine instead gathers the RIGHT side once,
+    ``ray.put``s sorted key/value arrays, and attaches the right columns
+    with one vectorized searchsorted per left batch — no exchange at
+    all, and the left side keeps streaming. Falls back to ``keyed_join``
+    (``num_partitions``, default ``shuffle_partitions()``) when the size
+    is unknowable, over budget, or the right keys are not unique (the
     broadcast lookup is single-match by construction).
     """
     import numpy as np
@@ -387,12 +541,7 @@ def sized_broadcast_join(
             if len(np.unique(keys)) != len(keys):
                 driver = False  # dup keys: multiplicity needs a real join
     if not driver:
-        return left.join(
-            right,
-            join_type="inner",
-            on=(on,),
-            num_partitions=num_partitions or join_partitions(),
-        )
+        return keyed_join(left, right, on, num_partitions or shuffle_partitions())
 
     order = np.argsort(keys, kind="stable")
     skeys = keys[order]

@@ -8,7 +8,7 @@ contract Ray-Data-first, with the production concerns the reference
 delegates to the E-utilities service wrapper made explicit:
 
 - id stream -> shard-assigned, already-done shards filtered at the read
-  -> ONE ``groupby(shard).map_groups`` exchange that dedupes ids (the
+  -> ONE ``keyed_map_groups`` exchange on the shard that dedupes ids (the
   `pmid_set` analog; duplicates co-locate since the shard is a pure
   function of the id), fetches, and writes one Parquet shard + an
   atomically-renamed row-count manifest — a rerun skips completed
@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import shuffle_partitions
+from ..rayutil import keyed_map_groups, shuffle_partitions
 
 
 def deterministic_fetcher(doc_id: int, attempt: int) -> bytes:
@@ -136,9 +136,9 @@ def fetch_corpus(
     at an object-store URI-backed mount or replace the shard writer with
     ``Dataset.write_parquet`` against remote storage.
 
-    ONE hash exchange end-to-end: ids are shard-assigned and
+    ONE keyed exchange end-to-end: ids are shard-assigned and
     todo-filtered per batch (pending shards never leave the read), then
-    a single ``groupby(shard).map_groups`` delivers each shard whole to
+    a single ``rayutil.keyed_map_groups`` delivers each shard whole to
     one task, which dedupes ids (duplicates co-locate — shard is a pure
     function of the id), fetches through ``FetchShard``, and writes
     parquet + manifest atomically (manifest renamed into place LAST, so
@@ -231,10 +231,11 @@ def fetch_corpus(
             }
         )
 
-    written = (
-        ids_ds.map_batches(assign_and_filter, batch_format="pyarrow")
-        .groupby("shard", num_partitions=min(n_shards, shuffle_partitions()))
-        .map_groups(fetch_write_group, batch_format="pyarrow")
+    written = keyed_map_groups(
+        ids_ds.map_batches(assign_and_filter, batch_format="pyarrow"),
+        ["shard"],
+        fetch_write_group,
+        min(n_shards, shuffle_partitions()),
     )
     return written.count()
 
@@ -343,10 +344,11 @@ def fetch_corpus_ds(
             "shard", pa.array([int(g["shard"][0].as_py())] * part.num_rows, pa.int64())
         )
 
-    fetched = (
-        ids_ds.map_batches(assign_and_filter, batch_format="pyarrow")
-        .groupby("shard", num_partitions=min(len(todo), shuffle_partitions()))
-        .map_groups(fetch_group, batch_format="pyarrow")
+    fetched = keyed_map_groups(
+        ids_ds.map_batches(assign_and_filter, batch_format="pyarrow"),
+        ["shard"],
+        fetch_group,
+        min(len(todo), shuffle_partitions()),
     )
     fetched.write_parquet(root, filesystem=fs, partition_cols=["shard"])
 

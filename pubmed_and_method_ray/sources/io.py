@@ -4,7 +4,7 @@ A ``pa.Schema`` carrying ANY key/value metadata dict — even an empty
 one — is unhashable (``hash(schema)`` raises ``unhashable type:
 'dict'``). Ray's block-schema dedup (``set(schemas)`` in
 ray/data/_internal/arrow_ops/transform_pyarrow.py:unify_schemas) runs
-both in hash-shuffle aggregators AND inside the fused
+wherever blocks are concatenated AND inside the fused
 ``ReadParquet->SplitBlocks`` read task itself, so any block born with
 the parquet writer's ``b'pandas'`` metadata logs ``Failed to hash the
 schemas (for deduplication)`` and falls through to the slow unify
@@ -150,16 +150,18 @@ def sized_read_blocks(
 
     The cluster-sized read floor (``tune_data_context``: 2 blocks/CPU)
     is right for compute-heavy pipelines, but for small relational
-    tables feeding straight into a hash exchange it over-shreds: Ray's
-    hash-shuffle push cost is blocks x partitions actor round-trips, so
-    a 2 MB events table read as 64 blocks pays 64 x 32 shard pushes to
-    move 3 MB (measured: the tumbling-window groupby runs ~1.7x faster
-    from 8 blocks than from 64 at identical bytes — interleaved sweep in
-    BASELINE.md). Rule, scale-symmetric like ``rayutil.sized_partitions``:
+    tables feeding straight into a keyed exchange it over-shreds: an
+    exchange's split cost is blocks x partitions slices, so a 2 MB
+    events table read as 64 blocks puts 64 x 32 slices to move 3 MB
+    (measured on Ray's actor hash shuffle, whose push cost had the same
+    blocks x partitions shape: the tumbling-window groupby ran ~1.7x
+    faster from 8 blocks than from 64 at identical bytes — interleaved
+    sweep in BASELINE.md). Rule, scale-symmetric like
+    ``rayutil.sized_partitions``:
 
     - ~``bytes_per_block`` (1 MiB compressed) per block, so small tables
-      get few push tasks;
-    - floor cpus//4 so the read/push stage still parallelizes (blocks=2
+      get few split tasks;
+    - floor cpus//4 so the read/split stage still parallelizes (blocks=2
       measured ~2x SLOWER than 8 at 32 cpus — too few concurrent pushes);
     - cap 2 blocks/CPU = the global read floor (never MORE shredding
       than the default);
@@ -195,17 +197,18 @@ def read_parquet_sized(paths, *, columns=None, **kwargs) -> "rd.Dataset":
 
 
 def sized_table_partitions(paths, cpus: "int | None" = None) -> int:
-    """Bytes/rows-aware hash-exchange partition count for queries over
+    """Bytes/rows-aware keyed-exchange partition count for queries over
     local parquet tables of knowable size.
 
     ``rayutil.shuffle_partitions()`` sizes exchanges at ~1/CPU, which is
-    right when the input fills the cluster but pays 32 aggregator-actor
-    startups (plus blocks x partitions push round-trips) to aggregate a
-    2 MB events table. Probe the parquet footers for exact rows + bytes
-    and delegate to ``rayutil.sized_partitions`` (its anti-OOM growth
-    term keeps 100 TB inputs safe), with a floor of cpus/4 matching the
-    sized-read floor — fewer aggregators than that starves concurrent
-    pushes. Unknowable inputs (remote, globs) keep the CPU-based count.
+    right when the input fills the cluster but pays 32 merge tasks (plus
+    blocks x partitions slice objects) to aggregate a 2 MB events
+    table. Probe the parquet footers for exact rows + bytes and delegate
+    to ``rayutil.sized_partitions`` (its anti-OOM growth term keeps
+    100 TB inputs safe), with a floor of cpus/4 matching the sized-read
+    floor — fewer partitions than that leave merge tasks too few to run
+    in parallel. Unknowable inputs (remote, globs) keep the CPU-based
+    count.
     """
     import os
 

@@ -1,1 +1,2 @@
-"""Ray Data stages: map_batches / groupby building blocks of the pipelines."""
+"""Ray Data stages: map_batches building blocks of the pipelines, over
+the keyed exchange of ``rayutil``."""

@@ -8,12 +8,12 @@ key and the greatest right timestamp that is `<` (strict, default) or
 are dropped (inner as-of).
 
 Ray-Data-first construction:
-- both sides are tagged and UNIONed into one stream, then ONE hash
-  exchange on the key co-locates every key's rows (left and right) in
-  one partition block — the same single-shuffle shape as pair-gen
-  (stages/blocking.py), and the same partitioning assumption: Ray
-  2.49's hash-shuffle finalize emits one block per partition, so a
-  map_batches(batch_size=None) task sees complete key groups.
+- both sides are tagged and UNIONed into one stream, then ONE keyed
+  exchange on the key (``rayutil.keyed_repartition``) co-locates every
+  key's rows (left and right) in one partition block — the same
+  single-exchange shape as pair-gen (stages/blocking.py): the exchange
+  emits one block per partition, so a map_batches(batch_size=None)
+  task sees complete key groups.
 - inside a block the match is fully vectorized: right rows lexsort by
   (key-code, ts); each probe finds its predecessor with ONE
   searchsorted over packed (key-code * ts-span + ts-offset) uint keys —
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import shuffle_partitions
+from ..rayutil import keyed_repartition, shuffle_partitions, sized_groupby_agg
 
 _SIDE = "__asof_side"
 
@@ -138,8 +138,9 @@ def _heavy_keys(ds, key_col: str, threshold: int, sample_mod: int = 8):
     ``value_counts`` partials stream to the driver and merge in ONE
     C-level ``pyarrow.Table.group_by`` (no per-key Python dict fold);
     past ``_CENSUS_DRIVER_BUDGET`` partial rows the gather is abandoned
-    and the census re-runs as a distributed groupby-sum where only
-    OVER-THRESHOLD keys ever reach the driver."""
+    and the census re-runs as a keyed-exchange sum
+    (``rayutil.sized_groupby_agg``) where only OVER-THRESHOLD keys ever
+    reach the driver."""
     import pyarrow.compute as pc
 
     def partial(t: pa.Table) -> pa.Table:
@@ -176,18 +177,14 @@ def _heavy_keys(ds, key_col: str, threshold: int, sample_mod: int = 8):
             zip(agg["k"].filter(mask).to_pylist(), cnt.filter(mask).to_pylist())
         )
 
-    from ..rayutil import shuffle_partitions
-
     def keep_heavy(t: pa.Table) -> pa.Table:
-        cnt = pc.multiply(pc.cast(t["sum(n)"], pa.int64()), mod)
+        cnt = pc.multiply(pc.cast(t["n"], pa.int64()), mod)
         out = pa.Table.from_pydict({"k": t["k"], "n": cnt})
         return out.filter(pc.greater(out["n"], thr))
 
-    heavy = (
-        parts.groupby("k", num_partitions=shuffle_partitions())
-        .sum("n")
-        .map_batches(keep_heavy, batch_format="pyarrow")
-    )
+    heavy = sized_groupby_agg(
+        parts, ["k"], [("n", "sum", "n")], driver=False
+    ).map_batches(keep_heavy, batch_format="pyarrow")
     out: dict = {}
     for b in heavy.iter_batches(batch_format="pyarrow", batch_size=262144):
         out.update(zip(b["k"].to_pylist(), b["n"].to_pylist()))
@@ -221,8 +218,8 @@ def asof_join(
     O(n_left + n_right) to O(n_left/S + n_right) for the hot key; a
     right side too big for one task needs time-range partitioning
     (not provided). Without the guard, a key larger than a partition
-    block still computes correctly on this Ray version (one block per
-    hash partition) but serializes in one task — the same documented
+    block still computes correctly (the exchange emits one block per
+    partition) but serializes in one task — the same documented
     assumption as pair-gen (stages/blocking.py)."""
     def _arrow_type(t) -> pa.DataType:
         # Ray's Schema reports pandas-backed object columns as the
@@ -334,9 +331,7 @@ def asof_join(
         right_ds.map_batches(tag_right, batch_format="pyarrow")
     )
     part_keys = [key_col, "__asof_salt"] if salted else [key_col]
-    return unioned.repartition(
-        num_blocks=shuffle_partitions(), keys=part_keys
-    ).map_batches(
+    return keyed_repartition(unioned, part_keys, shuffle_partitions()).map_batches(
         lambda t: _asof_block(
             t, key_col, ts_col, left_cols, right_out, strict, out_schema
         ),
@@ -469,9 +464,7 @@ def range_self_join(
             for k, n in _heavy_keys(ds, key_col, salt_threshold).items()
         }
     if not salt_of:
-        return ds.repartition(
-            num_blocks=shuffle_partitions(), keys=[key_col]
-        ).map_batches(
+        return keyed_repartition(ds, [key_col], shuffle_partitions()).map_batches(
             lambda t: _range_block(t, key_col, ts_col, window, emit_cols, out_schema),
             batch_format="pyarrow",
             batch_size=None,
@@ -509,14 +502,12 @@ def range_self_join(
             "__rj_sb", pa.array(np.maximum(p_rep, q).astype(np.int32), pa.int32())
         )
 
-    return (
-        ds.map_batches(replicate, batch_format="pyarrow")
-        .repartition(
-            num_blocks=shuffle_partitions(), keys=[key_col, "__rj_sa", "__rj_sb"]
-        )
-        .map_batches(
-            lambda t: _range_block(t, key_col, ts_col, window, emit_cols, out_schema),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
+    return keyed_repartition(
+        ds.map_batches(replicate, batch_format="pyarrow"),
+        [key_col, "__rj_sa", "__rj_sb"],
+        shuffle_partitions(),
+    ).map_batches(
+        lambda t: _range_block(t, key_col, ts_col, window, emit_cols, out_schema),
+        batch_format="pyarrow",
+        batch_size=None,
     )

@@ -43,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import fnv64_arrow, splitmix64, stable_hash64
-from ..rayutil import shuffle_partitions
+from ..rayutil import sized_groupby_agg
 from ..functions.simhash import DEFAULT_BANDS as N_BANDS
 from .features import run_pairs
 
@@ -117,9 +117,10 @@ def n_pair_buckets(
     count interpolates at ~PAIR_ROWS_PER_BUCKET mentions/bucket inside
     the [cpus, 2*cpus] clamp; unknown (lazy) inputs default to the
     fine-grained end, which is also the memory-safer choice at scale.
-    Those rounds ran on Ray's actor hash shuffle, whose per-partition
-    fixed costs the task exchange (``rayutil.keyed_exchange``) does not
-    pay; the constants have not been re-measured at 32 cpus since."""
+    Those rounds ran on Ray's actor hash shuffle, which the engine no
+    longer uses; the task exchange (``rayutil.keyed_exchange``) does not
+    pay its per-partition actor startup, and the constants have not been
+    re-measured at 32 cpus since."""
     from ..rayutil import tune_data_context, cluster_cpus
 
     cpus = cluster_cpus() if cpus is None else cpus
@@ -161,15 +162,16 @@ def emit_block_keys(batch: pa.Table) -> pa.Table:
 
 
 def block_census(mentions_ds):
-    """groupby(block_key).count() — the commonness census (SURVEY.md A1).
-    Exact shuffle version over the (host|band|value) STRING keys; this is
-    the query/test-facing census (``block_census_docs``). It is NOT the
-    input to pair-gen salting — ``emit_pair_keys`` consumes the numeric
-    host-hash skew arrays from ``skew_table_fast`` instead."""
-    return (
-        mentions_ds.map_batches(emit_block_keys, batch_format="pyarrow")
-        .groupby("block_key", num_partitions=shuffle_partitions())
-        .count()
+    """(block_key, count()) rows — the commonness census (SURVEY.md A1):
+    the exact keyed-exchange count over the (host|band|value) STRING
+    keys (``rayutil.sized_groupby_agg``). It is NOT the input to pair-gen
+    salting — ``emit_pair_keys`` consumes the numeric host-hash skew
+    arrays from ``skew_table_fast`` instead."""
+    return sized_groupby_agg(
+        mentions_ds.map_batches(emit_block_keys, batch_format="pyarrow"),
+        ["block_key"],
+        [("", "count", "count()")],
+        driver=False,
     )
 
 
@@ -215,14 +217,15 @@ def skew_table_fast(
 
     Two merge paths, budget-guarded like the engine's other driver-sized
     gathers: when the (known) sampled volume fits the driver budget, a
-    vectorized driver merge (measured 8x faster than a hash-shuffle
+    vectorized driver merge (measured 8x faster than Ray's hash-shuffle
     groupby at bench-scale key cardinality); otherwise a tiny keyed
-    exchange of (host_h, partial count) rows sums counts distributedly
-    and only OVER-THRESHOLD hosts ever reach the driver — at 10^8 hosts
+    exchange of (host_h, partial count) rows (``sized_groupby_agg``,
+    which groups uint64 keys >= 2^63 as they are) sums counts
+    distributedly and only OVER-THRESHOLD hosts ever reach the driver — at 10^8 hosts
     the driver holds just the heavy tail, not ~1.6 GB of sampled
     distincts. Returns (sorted uint64 host hashes, int64 counts) for
     vectorized searchsorted lookup in the emit stage."""
-    from ..rayutil import known_size, shuffle_partitions
+    from ..rayutil import known_size
 
     parts = mentions_ds.map_batches(
         _census_partials, fn_kwargs={"sample_mod": sample_mod}, batch_format="pyarrow"
@@ -244,38 +247,21 @@ def skew_table_fast(
     if distributed:
         import pyarrow.compute as pc
 
-        def key_as_i64(t: pa.Table) -> pa.Table:
-            # Ray's aggregate path chokes on uint64 keys > 2^63 —
-            # reinterpret the hash bits as int64 for the exchange
-            k = np.asarray(
-                t["block_key"].to_numpy(zero_copy_only=False), dtype=np.uint64
-            ).view(np.int64)
-            return t.set_column(
-                t.schema.get_field_index("block_key"),
-                "block_key",
-                pa.array(k, pa.int64()),
-            )
-
         def keep_heavy(t: pa.Table) -> pa.Table:
-            n = pc.multiply(t["sum(n)"], pa.scalar(sample_mod, pa.int64()))
-            t = t.set_column(
-                t.schema.get_field_index("sum(n)"), "n", pc.cast(n, pa.int64())
-            )
+            n = pc.multiply(t["n"], pa.scalar(sample_mod, pa.int64()))
+            t = t.set_column(t.schema.get_field_index("n"), "n", n)
             return t.filter(pc.greater(t["n"], pa.scalar(n_max, pa.int64())))
 
-        heavy = (
-            parts.map_batches(key_as_i64, batch_format="pyarrow")
-            .groupby("block_key", num_partitions=shuffle_partitions())
-            .sum("n")
-            .map_batches(keep_heavy, batch_format="pyarrow")
-        )
+        heavy = sized_groupby_agg(
+            parts, ["block_key"], [("n", "sum", "n")], driver=False
+        ).map_batches(keep_heavy, batch_format="pyarrow")
         ks, ns = [], []
         for b in heavy.iter_batches(batch_format="pyarrow", batch_size=262144):
             ks.append(b["block_key"].to_numpy(zero_copy_only=False))
             ns.append(b["n"].to_numpy(zero_copy_only=False))
         if not ks:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        keys = np.concatenate(ks).astype(np.int64).view(np.uint64)
+        keys = np.concatenate(ks).astype(np.uint64)
         counts = np.concatenate(ns).astype(np.int64)
         order = np.argsort(keys)
         return keys[order], counts[order]

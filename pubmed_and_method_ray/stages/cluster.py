@@ -27,13 +27,14 @@ import ray
 import ray.data as rd
 from ray.data.block import BlockAccessor
 
-from ..functions.hashing import fnv64_arrow, splitmix64
 from ..rayutil import (
     _merge_part,
     _split_by_part,
-    keyed_exchange,
+    key_parts,
+    keyed_repartition,
     shuffle_partitions,
     split_blocks,
+    with_key_part,
 )
 
 
@@ -103,25 +104,11 @@ def connected_components_driver(edges_ds) -> dict[str, str]:
     return _union_find_clusters(gen())
 
 
-def _node_parts(a: pa.Array, n_parts: int) -> np.ndarray:
-    """Partition of each node value: its hash (``fnv64_arrow`` for
-    strings, ``splitmix64`` for ints) mod ``n_parts``."""
-    if pa.types.is_integer(a.type):
-        h = splitmix64(a.to_numpy().astype(np.int64).view(np.uint64))
-    else:
-        h = fnv64_arrow(a)
-    return (h % np.uint64(n_parts)).astype(np.int64)
-
-
-def _with_part(t: pa.Table, col: str, n_parts: int) -> pa.Table:
-    return t.append_column("part", pa.array(_node_parts(t[col].combine_chunks(), n_parts)))
-
-
 def _directed_edges(t: pa.Table, c1: str, c2: str, n_parts: int) -> pa.Table:
     """Both directions of every edge, keyed by the source's partition
     and carrying the neighbour's (each endpoint is hashed once)."""
     a, b = t[c1].combine_chunks(), t[c2].combine_chunks()
-    part_a, part_b = _node_parts(a, n_parts), _node_parts(b, n_parts)
+    part_a, part_b = key_parts(t, [c1], n_parts), key_parts(t, [c2], n_parts)
     return pa.table(
         {
             "src": pa.concat_arrays([a, b]),
@@ -217,7 +204,7 @@ def connected_components_distributed(
     an edge endpoint missing from ``nodes_ds`` passes labels on but gets
     no row). Works for any orderable node type (url strings, int doc ids).
 
-    Nodes hash to ``shuffle_partitions()`` partitions (``_node_parts``).
+    Nodes hash to ``shuffle_partitions()`` partitions (``rayutil.key_hash``).
     ``edges_ds`` (both directions, keyed by source) and ``nodes_ds`` each
     run once, through one split pass (``rayutil.split_blocks``), into
     one state task per partition (``_init_partition``). Each round one
@@ -228,7 +215,7 @@ def connected_components_distributed(
     n = shuffle_partitions()
     c1, c2 = edge_cols
     edge_prep = partial(_directed_edges, c1=c1, c2=c2, n_parts=n)
-    node_prep = partial(_with_part, col=node_col, n_parts=n)
+    node_prep = partial(with_key_part, keys=[node_col], n_parts=n)
     edge_parts = split_blocks(edges_ds, "part", n, edge_prep)
     node_parts = split_blocks(nodes_ds.select_columns([node_col]), "part", n, node_prep)
     init = ray.remote(_init_partition).options(num_returns=2)
@@ -329,14 +316,9 @@ def cluster_pairs(clusters_ds):
     (url_1 < url_2): the pairwise co-membership view used by the
     reference's cluster metrics (src/metric/metric.py semantics).
     Dup clusters are small by nature, so the per-cluster C(n,2) is
-    bounded; one ``keyed_exchange`` on the cluster_id hash, then one
+    bounded; one ``keyed_repartition`` on cluster_id, then one
     sort per partition."""
     n = shuffle_partitions()
-    keyed = clusters_ds.map_batches(
-        _with_part,
-        fn_kwargs={"col": "cluster_id", "n_parts": n},
-        batch_format="pyarrow",
-    )
-    return keyed_exchange(keyed, "part", n).map_batches(
+    return keyed_repartition(clusters_ds, ["cluster_id"], n).map_batches(
         _cluster_pairs_part, batch_format="pyarrow", batch_size=None
     )

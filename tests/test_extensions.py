@@ -201,21 +201,6 @@ class TestCmsHeavyHitters:
         assert top_true in set(out.token)
 
 
-class TestEngineDataContext:
-    def test_shuffle_aggregator_reservation_override(self):
-        """Guard the engine-wide context defaults: Ray's stock 0.25-CPU-
-        per-partition shuffle-aggregator reservation idles half the
-        cluster through downstream map stages (see __init__.py)."""
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        import pubmed_and_method_ray  # noqa: F401 — applies the config
-
-        ctx = DataContext.get_current()
-        assert ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE
-        assert ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override == 0.05
-        assert ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override == 0.25
-
-
 class TestCleanParquetReads:
     def test_no_raw_read_parquet_in_package(self):
         """Every parquet read must go through sources.io.read_parquet_clean:
@@ -584,6 +569,150 @@ class TestSizedBroadcastJoin:
         # multiplicity preserved: the dup-key right side forces the real
         # join, which emits BOTH matches for k=2
         assert list(out["rv"]) == ["x", "y"]
+
+
+def _keyed_rows():
+    """Hypothesis rows for the keyed primitives: a nullable string key, a
+    nullable uint64 key with values past 2^63, an int value."""
+    from hypothesis import strategies as st
+
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "cc", "", None]),
+            st.sampled_from([0, 1, 2**63, 2**64 - 1, None]),
+            st.integers(-5, 5),
+        ),
+        max_size=24,
+    )
+
+
+def _sorted_rows(t):
+    return sorted(map(repr, t.to_pylist()))
+
+
+class TestKeyedPrimitives:
+    """The keyed exchange primitives against one driver-side pyarrow
+    group_by/join over the concatenated input: string + uint64 keys
+    (values >= 2^63 included), null keys, partitions that get no row
+    (more partitions than keys, and an empty input block)."""
+
+    def _ds(self, rows, cut):
+        import pyarrow as pa
+        import ray.data as rd
+
+        t = pa.table(
+            {
+                "k": pa.array([r[0] for r in rows], pa.string()),
+                "u": pa.array([r[1] for r in rows], pa.uint64()),
+                "v": pa.array([r[2] for r in rows], pa.int64()),
+            }
+        )
+        cut = min(cut, t.num_rows)
+        return t, rd.from_arrow([t.slice(0, cut), t.slice(0, 0), t.slice(cut)])
+
+    @staticmethod
+    def _table(ds):
+        import pyarrow as pa
+        import ray
+
+        return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+
+    def test_grouped_aggregate_and_map_groups_match_pyarrow(self, ray_session):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.rayutil import keyed_map_groups, sized_groupby_agg
+
+        specs = [("v", "sum", "s"), ("v", "min", "lo"), ("", "count", "n")]
+
+        @given(_keyed_rows(), st.integers(0, 24), st.integers(1, 7))
+        @example(  # null keys in both blocks, more partitions than keys
+            [(None, None, 1), (None, None, 2), ("a", 2**63, 3), (None, 2**63, 4)]
+            + [(None, None, 5), ("a", 2**63, 6), ("", None, 7), (None, None, 8)],
+            3,
+            7,
+        )
+        @settings(max_examples=20, deadline=None)
+        def check(rows, cut, n_parts):
+            t, ds = self._ds(rows, cut)
+            want = t.group_by(["k", "u"]).aggregate(
+                [("v", "sum"), ("v", "min"), ([], "count_all")]
+            ).rename_columns(["k", "u", "s", "lo", "n"])
+            if not want.num_rows:
+                assert self._table(sized_groupby_agg(ds, ["k"], specs, driver=False)).num_rows == 0
+                return
+            got = self._table(
+                sized_groupby_agg(ds, ["k", "u"], specs, driver=False, num_partitions=n_parts)
+            )
+            assert _sorted_rows(got.select(want.column_names)) == _sorted_rows(want)
+            distinct = self._table(
+                sized_groupby_agg(ds, ["k", "u"], [], driver=False, num_partitions=n_parts)
+            )
+            assert _sorted_rows(distinct) == _sorted_rows(want.select(["k", "u"]))
+
+            def one_row(g):
+                return pa.table({"k": g["k"].slice(0, 1), "u": g["u"].slice(0, 1), "n": [g.num_rows]})
+
+            groups = self._table(keyed_map_groups(ds, ["k", "u"], one_row, n_parts))
+            assert _sorted_rows(groups.select(["k", "u", "n"])) == _sorted_rows(
+                want.select(["k", "u", "n"])
+            )
+
+        check()
+
+    def test_keyed_join_matches_pyarrow(self, ray_session):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        import numpy as np
+        import pyarrow as pa
+        import ray.data as rd
+
+        from pubmed_and_method_ray.rayutil import keyed_join
+
+        right_rows = st.lists(
+            st.tuples(st.sampled_from([0, 1, 2**63, 2**64 - 1, None]), st.integers(0, 9)),
+            max_size=8,
+        )
+
+        @given(_keyed_rows(), right_rows, st.integers(0, 24), st.integers(1, 7))
+        @example(  # a repeated right key >= 2^63 multiplies its left rows
+            [("a", 2**63, 1), ("b", None, 2), ("c", 1, 3), ("d", 2**63, 4)],
+            [(2**63, 5), (2**63, 6), (None, 7)],
+            1,
+            5,
+        )
+        @settings(max_examples=10, deadline=None)
+        def check(rows, rrows, cut, n_parts):
+            t, _ = self._ds(rows, cut)
+            # a list-typed non-key column on the left
+            t = t.append_column(
+                "l", pa.array([[i] * (i % 3) for i in range(t.num_rows)], pa.list_(pa.uint32()))
+            )
+            cut = min(cut, t.num_rows)
+            left = rd.from_arrow([t.slice(0, cut), t.slice(cut)])
+            rt = pa.table(
+                {
+                    "u": pa.array([r[0] for r in rrows], pa.uint64()),
+                    "w": pa.array([r[1] for r in rrows], pa.int64()),
+                }
+            )
+            got = self._table(keyed_join(left, rd.from_arrow(rt), "u", n_parts))
+            # reference: one pyarrow join of the whole sides; the list
+            # column rides as its row index (pyarrow rejects it in a join)
+            lt = t.drop_columns(["l"]).append_column(
+                "row", pa.array(np.arange(t.num_rows), pa.int64())
+            )
+            j = lt.join(rt, "u", join_type="inner")
+            want = j.append_column("l", t["l"].take(j["row"])).drop_columns(["row"])
+            if not want.num_rows:
+                assert got.num_rows == 0
+                return
+            assert _sorted_rows(got.select(want.column_names)) == _sorted_rows(want)
+
+        check()
 
 
 class TestRepetitionMetrics:

@@ -255,7 +255,19 @@ class TestKeyedExchange:
             return out
 
         ours = groups(_blocks(keyed_exchange(ds, "part", n)))
-        ref = groups(_blocks(ds.repartition(num_blocks=n, keys=["part"])))
+        # the engine leaves Ray's shuffle strategy at its default, under
+        # which a keyed repartition raises; the reference opts in to the
+        # hash shuffle for this one Dataset (contexts snapshot at creation)
+        from ray.data.context import DataContext, ShuffleStrategy
+
+        ctx = DataContext.get_current()
+        saved = ctx.shuffle_strategy
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        try:
+            ref_ds = rd.from_arrow([t.slice(0, 150), t.slice(150)])
+            ref = groups(_blocks(ref_ds.repartition(num_blocks=n, keys=["part"])))
+        finally:
+            ctx.shuffle_strategy = saved
         assert ours == ref
 
     def test_chained_exchanges_with_an_empty_partition(self):

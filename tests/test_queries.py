@@ -46,6 +46,17 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def actors_before():
+    """Actors alive before the module's queries run, after Ray Data has
+    started its own per-session ones (``rd.range(4).materialize()``)."""
+    import ray._private.state as ray_state
+    import ray.data as rd
+
+    rd.range(4).materialize()
+    return set(ray_state.actors())
+
+
 @pytest.fixture(scope="module")
 def con():
     c = duckdb.connect()
@@ -125,3 +136,53 @@ class TestBroadcastSizeGuards:
             _to_pandas(relational.semi_join_orders(SF, broadcast_max_rows=0))
         )
         pd.testing.assert_frame_equal(bc, jn)
+
+    @pytest.mark.parametrize("broadcast_max_rows", [5_000_000, 0])
+    def test_semi_join_orders_filters_once(
+        self, broadcast_max_rows, tmp_path, monkeypatch
+    ):
+        """Both paths read the segment filter's blocks from ONE pass: it
+        runs as often as in a single materialize of the filter alone."""
+        from pubmed_and_method_ray.pipelines import relational
+
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        seg_keys = relational._segment_keys
+
+        def counting(t, segment):
+            import uuid
+
+            (calls / uuid.uuid4().hex).touch()
+            return seg_keys(t, segment)
+
+        monkeypatch.setattr(relational, "_segment_keys", counting)
+        cust = relational._read(SF, "customer", ["c_custkey", "c_mktsegment"])
+        cust.map_batches(
+            counting, fn_kwargs={"segment": "BUILDING"}, batch_format="pyarrow"
+        ).materialize()
+        one_pass = len(list(calls.iterdir()))
+        assert one_pass > 0
+        out = relational.semi_join_orders(SF, broadcast_max_rows=broadcast_max_rows)
+        assert len(_to_pandas(out)) > 0
+        assert len(list(calls.iterdir())) == 2 * one_pass
+
+
+class TestNoShuffleActors:
+    def test_no_hash_shuffle_aggregator(self, actors_before):
+        """Every query above ran on the engine's keyed exchange of plain
+        tasks: none started the actor Ray 2.49's shuffle, aggregate and
+        join operators start. The stateful model UDFs' actor pools
+        (``concurrency=(1, 4)``) are actors on purpose and stay allowed.
+        Runs last in the module, so it reuses the query runs above."""
+        import ray._private.state as ray_state
+
+        new = {
+            a: info
+            for a, info in ray_state.actors().items()
+            if a not in actors_before
+        }
+        shuffle = [
+            a for a, info in new.items()
+            if info["ActorClassName"] == "HashShuffleAggregator"
+        ]
+        assert not shuffle, f"{len(shuffle)} HashShuffleAggregator actors started"

@@ -9,8 +9,10 @@ and asserts they agree with the driver paths on the same input:
    cc_method='distributed' FORCED — the sorted (url, cluster_id)
    assignments must equal the auto/driver-path run's on the identical
    corpus;
-2. MinHash-LSH with driver_max_pairs=0 (forces the distributed
-   groupby-dedup + two-hash-join verify) — row-identical to the
+2. MinHash-LSH with driver_max_pairs=0 (forces the two-round task
+   verify: the candidate pairs split by doc_id1, deduped and given
+   doc_id1's sketch, then by doc_id2 and checked against its sketch,
+   ``dedup._verify_pairs_exchange``) — row-identical to the
    driver-verify run;
 3. canonical-docs with driver_max_edges=0 (forces distributed min-label
    CC) — row-identical to the driver union-find run.
