@@ -22,10 +22,12 @@ import numpy as np
 import pyarrow as pa
 
 from ..rayutil import (
+    _arrow_blocks,
     _merge_part,
     _split_by_part,
     keyed_map_groups,
     keyed_repartition,
+    run_blocks,
     shuffle_partitions,
     sized_groupby_agg,
     sized_partitions,
@@ -799,9 +801,7 @@ def dedup_minhash_lsh(
     Web-scale inputs exceed the row budget and take the exchange path
     unchanged.
     """
-    import ray
     import ray.data as rd
-    from ray.data.block import BlockAccessor
 
     docs = _read_documents(sf_dir, columns=["doc_id", "text"])
     sketched = docs.map_batches(
@@ -866,18 +866,12 @@ def dedup_minhash_lsh(
     # dups included, ≤ n_bands per pair) for its block refs and row
     # counts; past the budget the task verify gets these same blocks, so
     # the plan does not run again
-    refs, n_cands = [], 0
-    for bundle in cands.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-        n_cands += bundle.num_rows()
+    refs, n_cands = run_blocks(cands)
     if n_cands > driver_max_pairs:
         return _verify_pairs_exchange(rd.from_arrow_refs(refs), sketches, threshold)
     got = pa.concat_tables(
         [_EMPTY_PAIRS]
-        + [
-            BlockAccessor.for_block(b).to_arrow().select(["doc_id1", "doc_id2"])
-            for b in ray.get(refs)
-        ]
+        + [t.select(["doc_id1", "doc_id2"]) for t in _arrow_blocks(refs)]
     )
     pairs = _sort_pairs(
         got["doc_id1"].to_numpy(), got["doc_id2"].to_numpy(), distinct=True
@@ -894,98 +888,27 @@ def dedup_canonical_docs(
     canonical survivor; every doc maps to its canonical
     (doc_id, canonical_id, is_canonical).
 
-    Edge→cluster assignment uses the same budget-guarded auto switch as
-    stages/cluster.assign_clusters: edges stream to the driver only up to
-    ``driver_max_edges`` (vectorized union-find + broadcast searchsorted
-    assign); past the budget it falls back to the fully distributed
-    min-label propagation — at web scale verified near-dup pairs can
-    exceed driver memory."""
-    import ray
-
+    The components come from ``stages.cluster.assign_clusters``: on the
+    driver up to ``driver_max_edges`` edges, past it on tasks — at web
+    scale verified near-dup pairs can exceed driver memory."""
     import pyarrow.compute as pc
 
-    from ..stages.cluster import (
-        connected_components_distributed,
-        min_label_components,
+    from ..stages.cluster import assign_clusters
+
+    labels = assign_clusters(
+        _read_documents(sf_dir, ["doc_id"]),
+        dedup_minhash_lsh(sf_dir, threshold=threshold),
+        driver_max_edges=driver_max_edges,
+        node_col="doc_id",
+        edge_cols=("doc_id1", "doc_id2"),
+        label_col="canonical_id",
     )
 
-    edges_ds = dedup_minhash_lsh(sf_dir, threshold=threshold).materialize()
+    def flag(t: pa.Table) -> pa.Table:
+        is_canon = pc.equal(t["canonical_id"], t["doc_id"])
+        return t.append_column("is_canonical", pc.cast(is_canon, pa.int8()))
 
-    # stream edges to the driver UP TO the budget; overflow -> distributed
-    collected: list | None = []
-    n_edges = 0
-    for b in edges_ds.iter_batches(batch_format="pyarrow", batch_size=65536):
-        collected.append(
-            (
-                b["doc_id1"].to_numpy(zero_copy_only=False).astype(np.int64),
-                b["doc_id2"].to_numpy(zero_copy_only=False).astype(np.int64),
-            )
-        )
-        n_edges += b.num_rows
-        if n_edges > driver_max_edges:
-            collected = None
-            break
-
-    docs = _read_documents(sf_dir, ["doc_id"])
-
-    if collected is None:
-        labels = connected_components_distributed(
-            docs,
-            edges_ds,
-            node_col="doc_id",
-            edge_cols=("doc_id1", "doc_id2"),
-            label_col="canonical_id",
-        )
-
-        def flag(t: pa.Table) -> pa.Table:
-            is_canon = pc.equal(t["canonical_id"], t["doc_id"])
-            return t.append_column("is_canonical", pc.cast(is_canon, pa.int8()))
-
-        return labels.map_batches(flag, batch_format="pyarrow")
-
-    u1 = (
-        np.concatenate([c[0] for c in collected])
-        if collected
-        else np.empty(0, np.int64)
-    )
-    u2 = (
-        np.concatenate([c[1] for c in collected])
-        if collected
-        else np.empty(0, np.int64)
-    )
-    nodes_a, labels_a = min_label_components(
-        pa.array(u1, pa.int64()), pa.array(u2, pa.int64())
-    )
-    ref = ray.put(
-        (
-            np.asarray(nodes_a, dtype=np.int64),
-            np.asarray(labels_a, dtype=np.int64),
-        )
-    )
-
-    def assign(t: pa.Table) -> pa.Table:
-        from ..stages.mention_prep import get_broadcast
-
-        nodes_, labels_ = get_broadcast(ref)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        if len(nodes_):
-            pos = np.searchsorted(nodes_, ids)
-            pos_c = np.minimum(pos, len(nodes_) - 1)
-            hit = nodes_[pos_c] == ids
-            canon = np.where(hit, labels_[pos_c], ids)
-        else:
-            canon = ids
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "canonical_id": pa.array(canon, pa.int64()),
-                "is_canonical": pa.array(
-                    (canon == ids).astype(np.int8), pa.int8()
-                ),
-            }
-        )
-
-    return docs.map_batches(assign, batch_format="pyarrow")
+    return labels.map_batches(flag, batch_format="pyarrow")
 
 
 # -- SimHash near-dup ------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import keyed_join, keyed_map_groups, keyed_repartition
+from ..rayutil import keyed_join, keyed_map_groups, keyed_repartition, run_blocks
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -555,10 +555,7 @@ def semi_join_orders(
     seg_keys = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         _segment_keys, fn_kwargs={"segment": segment}, batch_format="pyarrow"
     )
-    refs, n_keys = [], 0
-    for bundle in seg_keys.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-        n_keys += bundle.num_rows()
+    refs, n_keys = run_blocks(seg_keys)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     if n_keys > broadcast_max_rows:

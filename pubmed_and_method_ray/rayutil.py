@@ -166,6 +166,27 @@ def _prep_and_split(block, part_col: str, n_parts: int, prep):
     return _split_by_part(block, part_col, n_parts)
 
 
+def run_blocks(ds) -> "tuple[list, int]":
+    """Run ``ds`` once: its block refs and its row total (from the block
+    metadata; no block reaches the driver). A size guard decides on the
+    total and hands these same refs on (``rd.from_arrow_refs``), so the
+    upstream plan does not run a second time."""
+    refs, n_rows = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        refs.extend(bundle.block_refs)
+        n_rows += bundle.num_rows()
+    return refs, n_rows
+
+
+def _arrow_blocks(refs) -> list:
+    """The blocks behind ``refs``, fetched to the driver as Arrow
+    tables."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    return [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+
+
 def split_blocks(ds, part_col: str, n_parts: int, prep=None):
     """The split half of ``keyed_exchange``, at the object-ref level: one
     split task per block of ``ds`` (submitted as blocks arrive; ``ds``
@@ -483,13 +504,12 @@ def sized_groupby_agg(
     = DISTINCT over the keys. ``driver`` forces a path (tests/soaks).
     """
     import pyarrow as pa
-    import ray
     import ray.data as rd
 
     if driver is None:
         driver = n_bytes is not None and n_bytes <= budget_bytes
     if driver:
-        tables = ray.get(ds.to_arrow_refs())
+        tables = _arrow_blocks(run_blocks(ds)[0])
         if tables:
             tbl = pa.concat_tables(tables, promote_options="default")
             return rd.from_arrow(_group_agg(tbl, keys, specs))
@@ -499,6 +519,62 @@ def sized_groupby_agg(
         batch_format="pyarrow",
         batch_size=None,
     )
+
+
+# driver-merge budget of ``heavy_key_census``: up to this many partial
+# rows merge on the driver; past it they merge in a keyed exchange that
+# hands only the heavy tail to the driver
+_CENSUS_DRIVER_BUDGET = 5_000_000
+
+
+def _keep_heavy(t, threshold: int, scale: int):
+    """The census rows whose ``n`` x ``scale`` exceeds ``threshold``,
+    with ``n`` scaled."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    n = pc.multiply(t["n"], pa.scalar(scale, pa.int64()))
+    out = pa.table({"key": t["key"], "n": n})
+    return out.filter(pc.greater(n, pa.scalar(threshold, pa.int64())))
+
+
+def heavy_key_census(partials, threshold: int, scale: int = 1):
+    """The skew guards' heavy-key census (pair-gen host salting, asof
+    and range-join key salting). ``partials`` holds per-batch partial
+    counts ``(key, n)``, ``scale`` is the caller's sample modulus.
+    Returns (keys Array, int64 counts) of the keys whose summed ``n`` x
+    ``scale`` exceeds ``threshold``, counts scaled, sorted by key.
+
+    ``partials`` runs once (``run_blocks``). Up to
+    ``_CENSUS_DRIVER_BUDGET`` partial rows its blocks merge on the
+    driver; past it the same blocks merge in ``sized_groupby_agg``'s
+    keyed exchange and only the heavy tail reaches the driver. Both
+    paths run ``_group_agg``."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    refs, n_rows = run_blocks(partials)
+    spec = [("n", "sum", "n")]
+    if n_rows <= _CENSUS_DRIVER_BUDGET:
+        tables = [t for t in _arrow_blocks(refs) if t.num_rows]
+        if tables:
+            tbl = pa.concat_tables(tables, promote_options="default")
+            merged = _group_agg(tbl, ["key"], spec)
+            tables = [_keep_heavy(merged, threshold, scale)]
+    else:
+        heavy = sized_groupby_agg(
+            rd.from_arrow_refs(refs), ["key"], spec, driver=False
+        ).map_batches(
+            _keep_heavy,
+            fn_kwargs={"threshold": threshold, "scale": scale},
+            batch_format="pyarrow",
+        )
+        tables = [t for t in _arrow_blocks(run_blocks(heavy)[0]) if t.num_rows]
+    if not tables:
+        return pa.array([]), np.empty(0, np.int64)
+    out = pa.concat_tables(tables, promote_options="default").sort_by("key")
+    return out["key"].combine_chunks(), np.asarray(out["n"], np.int64)
 
 
 def sized_broadcast_join(
@@ -522,17 +598,19 @@ def sized_broadcast_join(
     all, and the left side keeps streaming. Falls back to ``keyed_join``
     (``num_partitions``, default ``shuffle_partitions()``) when the size
     is unknowable, over budget, or the right keys are not unique (the
-    broadcast lookup is single-match by construction).
+    broadcast lookup is single-match by construction); a gathered right
+    side goes to ``keyed_join`` as its blocks, so it runs once.
     """
     import numpy as np
     import pyarrow as pa
     import ray
+    import ray.data as rd
 
     if driver is None:
         driver = n_bytes is not None and n_bytes <= budget_bytes
-    rt = None
     if driver:
-        tabs = ray.get(right.to_arrow_refs())
+        refs, _ = run_blocks(right)
+        tabs = _arrow_blocks(refs)
         rt = pa.concat_tables(tabs, promote_options="default") if tabs else None
         if rt is None or rt.num_rows == 0:
             driver = False
@@ -540,6 +618,8 @@ def sized_broadcast_join(
             keys = np.asarray(rt[on].to_numpy(zero_copy_only=False))
             if len(np.unique(keys)) != len(keys):
                 driver = False  # dup keys: multiplicity needs a real join
+        if not driver:
+            right = rd.from_arrow_refs(refs)  # the right side ran once
     if not driver:
         return keyed_join(left, right, on, num_partitions or shuffle_partitions())
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import keyed_repartition, shuffle_partitions, sized_groupby_agg
+from ..rayutil import heavy_key_census, keyed_repartition, shuffle_partitions
 
 _SIDE = "__asof_side"
 
@@ -121,27 +121,12 @@ def _asof_block(
     return pa.Table.from_pydict(cols).cast(out_schema)
 
 
-# driver-merge budget for the mega-key census (same convention as
-# blocking._CENSUS_DRIVER_BUDGET): past this many streamed partial rows
-# the merge moves off the driver into a keyed exchange that filters to
-# the heavy tail distributedly
-_CENSUS_DRIVER_BUDGET = 5_000_000
-
-
 def _heavy_keys(ds, key_col: str, threshold: int, sample_mod: int = 8):
     """Sampled per-key row census -> {key: scaled count} for keys above
     ``threshold`` (the mega-key guard's detection pass; approximate is
-    fine — salting is a load/memory device, never a correctness one).
-
-    Two merge paths, budget-guarded like the engine's other driver-side
-    gathers (the skew_table_fast shape, stages/blocking.py): per-batch
-    ``value_counts`` partials stream to the driver and merge in ONE
-    C-level ``pyarrow.Table.group_by`` (no per-key Python dict fold);
-    past ``_CENSUS_DRIVER_BUDGET`` partial rows the gather is abandoned
-    and the census re-runs as a keyed-exchange sum
-    (``rayutil.sized_groupby_agg``) where only OVER-THRESHOLD keys ever
-    reach the driver."""
-    import pyarrow.compute as pc
+    fine — salting is a load/memory device, never a correctness one):
+    per-batch ``value_counts`` partials over a deterministic row-stride
+    sample, merged by ``rayutil.heavy_key_census``."""
 
     def partial(t: pa.Table) -> pa.Table:
         col = t[key_col]
@@ -153,42 +138,13 @@ def _heavy_keys(ds, key_col: str, threshold: int, sample_mod: int = 8):
             col = col.filter(pa.array(keep))
         vc = col.value_counts()
         return pa.Table.from_pydict(
-            {"k": vc.field("values"), "n": vc.field("counts")}
+            {"key": vc.field("values"), "n": vc.field("counts")}
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    batches: list | None = []
-    n_rows = 0
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=262144):
-        batches.append(b)
-        n_rows += b.num_rows
-        if n_rows > _CENSUS_DRIVER_BUDGET:
-            batches = None
-            break
-    thr = pa.scalar(threshold, pa.int64())
-    mod = pa.scalar(sample_mod, pa.int64())
-    if batches is not None:
-        if not batches:
-            return {}
-        agg = pa.concat_tables(batches).group_by("k").aggregate([("n", "sum")])
-        cnt = pc.multiply(pc.cast(agg["n_sum"], pa.int64()), mod)
-        mask = pc.greater(cnt, thr)
-        return dict(
-            zip(agg["k"].filter(mask).to_pylist(), cnt.filter(mask).to_pylist())
-        )
-
-    def keep_heavy(t: pa.Table) -> pa.Table:
-        cnt = pc.multiply(pc.cast(t["n"], pa.int64()), mod)
-        out = pa.Table.from_pydict({"k": t["k"], "n": cnt})
-        return out.filter(pc.greater(out["n"], thr))
-
-    heavy = sized_groupby_agg(
-        parts, ["k"], [("n", "sum", "n")], driver=False
-    ).map_batches(keep_heavy, batch_format="pyarrow")
-    out: dict = {}
-    for b in heavy.iter_batches(batch_format="pyarrow", batch_size=262144):
-        out.update(zip(b["k"].to_pylist(), b["n"].to_pylist()))
-    return out
+    keys, counts = heavy_key_census(
+        ds.map_batches(partial, batch_format="pyarrow"), threshold, sample_mod
+    )
+    return dict(zip(keys.to_pylist(), counts.tolist()))
 
 
 def asof_join(
@@ -207,8 +163,10 @@ def asof_join(
     automatically when listed in ``right_cols``). ``strict``: match
     right.ts < left.ts (True) or <= (False). Inner semantics.
 
-    ``salt_threshold``: mega-key guard (off by default — it adds a
-    census pass over the probe side). Keys whose LEFT row count exceeds
+    ``salt_threshold``: mega-key guard (off by default — it adds one
+    census pass over the probe side, ``_heavy_keys``, whose partial
+    counts merge on the driver or in a keyed exchange by their count,
+    ``rayutil.heavy_key_census``). Keys whose LEFT row count exceeds
     it split into S = ceil(n/threshold) salt groups: probe rows hash to
     one group, the key's RIGHT rows replicate to every group, and the
     exchange partitions on (key, salt) so no single task holds the whole

@@ -43,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import fnv64_arrow, splitmix64, stable_hash64
-from ..rayutil import sized_groupby_agg
+from ..rayutil import heavy_key_census, lpt_buckets
 from ..functions.simhash import DEFAULT_BANDS as N_BANDS
 from .features import run_pairs
 
@@ -149,32 +149,6 @@ PAYLOAD_COLS = [
 ]
 
 
-def _base_keys(host: str, bands) -> list[str]:
-    return [f"{host}|{b}|{int(v):x}" for b, v in enumerate(bands)]
-
-
-def emit_block_keys(batch: pa.Table) -> pa.Table:
-    """Mention -> one (block_key) row per band, for the census groupby."""
-    hosts = batch["host"].to_pylist()
-    bands = batch["bands"].to_pylist()
-    keys = [k for h, bs in zip(hosts, bands) for k in _base_keys(h, bs)]
-    return pa.Table.from_pydict({"block_key": pa.array(keys, pa.string())})
-
-
-def block_census(mentions_ds):
-    """(block_key, count()) rows — the commonness census (SURVEY.md A1):
-    the exact keyed-exchange count over the (host|band|value) STRING
-    keys (``rayutil.sized_groupby_agg``). It is NOT the input to pair-gen
-    salting — ``emit_pair_keys`` consumes the numeric host-hash skew
-    arrays from ``skew_table_fast`` instead."""
-    return sized_groupby_agg(
-        mentions_ds.map_batches(emit_block_keys, batch_format="pyarrow"),
-        ["block_key"],
-        [("", "count", "count()")],
-        driver=False,
-    )
-
-
 def _census_partials(batch: pa.Table, sample_mod: int = 1) -> pa.Table:
     """Per-batch partial HOST counts (pre-aggregation, SURVEY.md §4),
     fully vectorized. ``sample_mod`` > 1 counts a deterministic 1/mod
@@ -191,96 +165,32 @@ def _census_partials(batch: pa.Table, sample_mod: int = 1) -> pa.Table:
     keys, counts = np.unique(hh, return_counts=True)
     return pa.Table.from_pydict(
         {
-            "block_key": pa.array(keys, pa.uint64()),
+            "key": pa.array(keys, pa.uint64()),
             "n": pa.array(counts, pa.int64()),
         }
     )
 
 
-# driver-merge budget for the skew census: above this many SAMPLED
-# mentions the partial-count concat moves off the driver into a tiny
-# keyed exchange that filters to the heavy tail distributedly
-_CENSUS_DRIVER_BUDGET = 5_000_000
-
-
-def skew_table_fast(
-    mentions_ds,
-    n_max: int,
-    sample_mod: int = 8,
-    distributed: bool | None = None,
-):
+def skew_table_fast(mentions_ds, n_max: int, sample_mod: int = 8):
     """HOST skew census on a deterministic 1/sample_mod mention sample,
     scaled back up. SAFE approximation: salting is a load-balancing
     device — pair coverage is exact with or without it — and a host big
     enough to need salting (n > n_max >= 128) puts ~n/mod >= 16 mentions
     in the sample, so the heavy tail is detected reliably.
 
-    Two merge paths, budget-guarded like the engine's other driver-sized
-    gathers: when the (known) sampled volume fits the driver budget, a
-    vectorized driver merge (measured 8x faster than Ray's hash-shuffle
-    groupby at bench-scale key cardinality); otherwise a tiny keyed
-    exchange of (host_h, partial count) rows (``sized_groupby_agg``,
-    which groups uint64 keys >= 2^63 as they are) sums counts
-    distributedly and only OVER-THRESHOLD hosts ever reach the driver — at 10^8 hosts
-    the driver holds just the heavy tail, not ~1.6 GB of sampled
-    distincts. Returns (sorted uint64 host hashes, int64 counts) for
-    vectorized searchsorted lookup in the emit stage."""
-    from ..rayutil import known_size
-
-    parts = mentions_ds.map_batches(
-        _census_partials, fn_kwargs={"sample_mod": sample_mod}, batch_format="pyarrow"
+    The per-batch partial host counts merge in ``rayutil.heavy_key_census``
+    (on the driver up to its budget, else in a keyed exchange that hands
+    only the over-threshold hosts to the driver). Returns (sorted uint64
+    host hashes, int64 counts) for vectorized searchsorted lookup in the
+    emit stage."""
+    keys, counts = heavy_key_census(
+        mentions_ds.map_batches(
+            _census_partials, fn_kwargs={"sample_mod": sample_mod}, batch_format="pyarrow"
+        ),
+        n_max,
+        sample_mod,
     )
-    if distributed is None:
-        n_rows, _ = known_size(mentions_ds)
-        distributed = n_rows is None or (n_rows // sample_mod) > _CENSUS_DRIVER_BUDGET
-        if n_rows is None:
-            # no-silent-path convention: an unsized input takes the
-            # distributed merge — measured ~8x slower than the driver
-            # merge at bench scale
-            import logging
-
-            logging.getLogger(__name__).info(
-                "skew census: input size not inferable without executing "
-                "the plan — taking the distributed merge path"
-            )
-
-    if distributed:
-        import pyarrow.compute as pc
-
-        def keep_heavy(t: pa.Table) -> pa.Table:
-            n = pc.multiply(t["n"], pa.scalar(sample_mod, pa.int64()))
-            t = t.set_column(t.schema.get_field_index("n"), "n", n)
-            return t.filter(pc.greater(t["n"], pa.scalar(n_max, pa.int64())))
-
-        heavy = sized_groupby_agg(
-            parts, ["block_key"], [("n", "sum", "n")], driver=False
-        ).map_batches(keep_heavy, batch_format="pyarrow")
-        ks, ns = [], []
-        for b in heavy.iter_batches(batch_format="pyarrow", batch_size=262144):
-            ks.append(b["block_key"].to_numpy(zero_copy_only=False))
-            ns.append(b["n"].to_numpy(zero_copy_only=False))
-        if not ks:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        keys = np.concatenate(ks).astype(np.uint64)
-        counts = np.concatenate(ns).astype(np.int64)
-        order = np.argsort(keys)
-        return keys[order], counts[order]
-
-    all_k, all_n = [], []
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=262144):
-        all_k.append(b["block_key"].to_numpy(zero_copy_only=False))
-        all_n.append(b["n"].to_numpy(zero_copy_only=False))
-    if not all_k:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    # vectorized merge (this loop is DRIVER-side serial time — it was a
-    # per-key Python dict fold, a measurable Amdahl term at high cpu
-    # counts): unique-sort the sampled host hashes once, segment-sum
-    keys_all = np.concatenate(all_k).astype(np.uint64)
-    ns_all = np.concatenate(all_n).astype(np.int64)
-    keys, inv = np.unique(keys_all, return_inverse=True)
-    counts = np.bincount(inv, weights=ns_all).astype(np.int64) * sample_mod
-    big = counts > n_max
-    return keys[big], counts[big]
+    return np.asarray(keys.to_numpy(zero_copy_only=False), np.uint64), counts
 
 
 def _pair_bucket(gk: np.ndarray, sa: np.ndarray, sb: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -290,30 +200,6 @@ def _pair_bucket(gk: np.ndarray, sa: np.ndarray, sb: np.ndarray, n_buckets: int)
         sa.astype(np.uint64) * np.uint64(0x1F1F1F1F) + sb.astype(np.uint64)
     )
     return (splitmix64(mix) % np.uint64(n_buckets)).astype(np.int32)
-
-
-def pack_heavy_hosts(
-    keys: np.ndarray, counts: np.ndarray, n_buckets: int
-) -> np.ndarray:
-    """Greedy work-balanced bucket assignment for heavy (but unsalted)
-    hosts: pair work per host scales as count^2, and Zipf host sizes
-    make hash-assigned buckets wildly uneven (measured 1ms-18.9s task
-    skew across one wave — the high-width straggler). Sort by work
-    descending, assign each host to the currently-lightest bucket
-    (classic LPT packing, O(H log B) via a heap). Ties break on the
-    lowest bucket index, matching the argmin formulation this replaces.
-    Light hosts stay hash-assigned."""
-    import heapq
-
-    w = counts.astype(np.float64) ** 2
-    order = np.argsort(w)[::-1]
-    heap = [(0.0, b) for b in range(n_buckets)]
-    out = np.empty(len(keys), dtype=np.int32)
-    for i in order:
-        load, b = heap[0]
-        out[i] = b
-        heapq.heapreplace(heap, (load + w[i], b))
-    return out
 
 
 def emit_pair_keys(
@@ -655,7 +541,7 @@ def _keyed_buckets(mentions_ds, n_max: int, keep_gold: bool):
         keys[salt],
         counts[salt],
         pack_keys,
-        pack_heavy_hosts(pack_keys, pack_counts, n_buckets),
+        lpt_buckets(pack_counts**2, n_buckets).astype(np.int32),
     )
     skew_ref = ray.put(skew)
     keyed = mentions_ds.map_batches(

@@ -13,7 +13,8 @@ the minimum node of its component:
   (``connected_components_distributed``), for any number of edges.
 
 ``auto`` picks driver-side below ``driver_max_edges``, else distributed —
-and the distributed path is what a 256-node run would use.
+and the distributed path is what a 256-node run would use. The switch is
+``assign_clusters``, for ER's url clusters and dedup's canonical docs.
 """
 
 from __future__ import annotations
@@ -25,17 +26,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.block import BlockAccessor
 
 from ..rayutil import (
+    _arrow_blocks,
     _merge_part,
     _split_by_part,
     key_parts,
     keyed_repartition,
+    run_blocks,
     shuffle_partitions,
     split_blocks,
     with_key_part,
 )
+from .features import run_pairs
 
 
 def _union_find_clusters(edge_iter):
@@ -244,71 +247,69 @@ def assign_clusters(
     edges_ds,
     method: str = "auto",
     driver_max_edges: int = 2_000_000,
+    *,
+    node_col: str = "url",
+    edge_cols: tuple[str, str] = ("url_1", "url_2"),
+    label_col: str = "cluster_id",
 ):
-    """mentions + match edges -> Dataset (url, cluster_id); nodes without
-    any match edge become singleton clusters (cluster_id = own url)."""
+    """nodes + match edges -> Dataset (``node_col``, ``label_col``), one
+    row per ``mentions_ds`` row; a node without any edge labels itself.
+    ``auto`` clusters on the driver (``min_label_components``) up to
+    ``driver_max_edges`` edges, else on tasks
+    (``connected_components_distributed``)."""
+    cols = {"node_col": node_col, "edge_cols": edge_cols, "label_col": label_col}
     if method in ("auto", "driver"):
         # one pass over the edge upstream for its block refs and row
         # counts; past the budget the distributed path gets these same
         # blocks, so the upstream (the fused pair exchange, when
         # streaming) does not run again
-        refs, n_edges = [], 0
-        for bundle in edges_ds.iter_internal_ref_bundles():
-            refs.extend(bundle.block_refs)
-            n_edges += bundle.num_rows()
+        refs, n_edges = run_blocks(edges_ds)
         if method == "auto" and n_edges > driver_max_edges:
             method, edges_ds = "distributed", rd.from_arrow_refs(refs)
         else:
             method = "driver"
 
     if method != "driver":
-        return connected_components_distributed(mentions_ds, edges_ds)
+        return connected_components_distributed(mentions_ds, edges_ds, **cols)
 
-    # edges as ARROW chunks (no per-string Python objects)
-    empty = pa.array([], pa.string())
-    blocks = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
-    edges = pa.concat_tables(
-        [pa.table({"url_1": empty, "url_2": empty})]
-        + [t.select(["url_1", "url_2"]) for t in blocks if t.num_rows],
-        promote_options="default",
-    )
-    mapping = ray.put(
-        min_label_components(edges["url_1"].combine_chunks(), edges["url_2"].combine_chunks())
-    )
+    # edges as ARROW chunks (no per-string Python objects); with no edge
+    # row every node labels itself, whatever the node type
+    edges = [t.select(list(edge_cols)) for t in _arrow_blocks(refs) if t.num_rows]
+    mapping = None
+    if edges:
+        edges = pa.concat_tables(edges, promote_options="default")
+        mapping = ray.put(
+            min_label_components(*(edges[c].combine_chunks() for c in edge_cols))
+        )
 
     def assign(t: pa.Table, mapping_ref=mapping) -> pa.Table:
-        # the (urls, labels) arrays fetch once per worker via the
+        # the (nodes, labels) arrays fetch once per worker via the
         # broadcast cache; the lookup is arrow kernels, no per-row Python
         from .mention_prep import get_broadcast
 
-        urls_s, labels = get_broadcast(mapping_ref)
-        url_col = t["url"].combine_chunks()
-        idx = pc.index_in(url_col, urls_s)  # null where no edge
-        cids = pc.coalesce(labels.take(idx), url_col)
-        return pa.Table.from_pydict({"url": url_col, "cluster_id": cids})
+        nodes = t[node_col].combine_chunks()
+        labels = nodes
+        if mapping_ref is not None:
+            nodes_s, labels_s = get_broadcast(mapping_ref)
+            idx = pc.index_in(nodes, nodes_s)  # null where no edge
+            labels = pc.coalesce(labels_s.take(idx), nodes)
+        return pa.Table.from_pydict({node_col: nodes, label_col: labels})
 
-    return mentions_ds.select_columns(["url"]).map_batches(
+    return mentions_ds.select_columns([node_col]).map_batches(
         assign, batch_format="pyarrow"
     )
 
 
 def _cluster_pairs_part(t: pa.Table) -> pa.Table:
     """One partition's (url, cluster_id) rows -> its clusters' pairs:
-    sort by (cluster_id, url); a cluster of k rows is a run of k, whose
-    triu pairs are built for all runs of one length at once."""
+    sort by (cluster_id, url), then every within-run pair of each
+    cluster's run (``features.run_pairs``)."""
     t = t.sort_by([("cluster_id", "ascending"), ("url", "ascending")]).combine_chunks()
-    urls = t["url"].combine_chunks()
-    codes = t["cluster_id"].combine_chunks().dictionary_encode().indices
-    _, starts, sizes = np.unique(np.asarray(codes), return_index=True, return_counts=True)
-    ii, jj = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for k in np.unique(sizes[sizes > 1]):
-        i, j = np.triu_indices(k, 1)
-        s = starts[sizes == k][:, None]
-        ii.append((s + i).ravel())
-        jj.append((s + j).ravel())
-    return pa.table(
-        {"url_1": urls.take(np.concatenate(ii)), "url_2": urls.take(np.concatenate(jj))}
-    )
+    urls = t["url"]
+    codes = np.asarray(t["cluster_id"].combine_chunks().dictionary_encode().indices)
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    i, j = run_pairs(starts, np.diff(np.r_[starts, len(codes)]))
+    return pa.table({"url_1": urls.take(i), "url_2": urls.take(j)})
 
 
 def cluster_pairs(clusters_ds):

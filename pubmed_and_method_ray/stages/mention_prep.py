@@ -397,17 +397,6 @@ def normalize_batch(batch: pa.Table, idf_ref=None) -> pa.Table:
     return out
 
 
-class NormalizeMentions:
-    """Actor-style wrapper kept for API parity (tests); delegates to
-    normalize_batch."""
-
-    def __init__(self, idf_ref=None):
-        self.idf_ref = idf_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return normalize_batch(batch, self.idf_ref)
-
-
 def fit_idf(ds, sample_mod: int = 1):
     """Fit the hashed-ngram IDF table: per-batch partial DF vectors (a
     mergeable sketch — SURVEY.md §4 pre-aggregation rule), summed on the

@@ -306,9 +306,10 @@ class TestHeavyKeyCensus:
 
     def test_driver_and_distributed_paths_agree(self, monkeypatch):
         import pubmed_and_method_ray.stages.asof as asof_mod
+        from pubmed_and_method_ray import rayutil
 
         driver = asof_mod._heavy_keys(self._ds(), "k", threshold=64, sample_mod=1)
-        monkeypatch.setattr(asof_mod, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
         dist = asof_mod._heavy_keys(self._ds(), "k", threshold=64, sample_mod=1)
         assert driver == dist
         assert set(driver) == {0, 7}
@@ -323,8 +324,20 @@ class TestHeavyKeyCensus:
         # back x4: approximately the true count
         assert abs(heavy[0] - 3800) <= 3800 * 0.05
 
+    def test_over_budget_census_runs_partials_once(self, monkeypatch, counting_ds):
+        """Past the budget the exchange merge gets the blocks the census
+        already ran: the partial kernel runs once per block."""
+        from pubmed_and_method_ray import rayutil
+        from pubmed_and_method_ray.stages.asof import _heavy_keys
+
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        blocks = [{"k": [0] * 50 + [b]} for b in range(1, 4)]
+        ds, runs = counting_ds(blocks)
+        assert _heavy_keys(ds, "k", threshold=40, sample_mod=1) == {0: 150}
+        assert runs() == len(blocks)
+
     def test_asof_salted_with_forced_distributed_census(self, monkeypatch):
-        import pubmed_and_method_ray.stages.asof as asof_mod
+        from pubmed_and_method_ray import rayutil
 
         rng = np.random.RandomState(19)
         n_l, n_r = 1500, 300
@@ -353,7 +366,7 @@ class TestHeavyKeyCensus:
             )
             .to_pandas().sort_values("lid").reset_index(drop=True)
         )
-        monkeypatch.setattr(asof_mod, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
         salted = (
             asof_join(
                 rd.from_pandas(ldf), rd.from_pandas(rdf),

@@ -570,6 +570,80 @@ class TestSizedBroadcastJoin:
         # join, which emits BOTH matches for k=2
         assert list(out["rv"]) == ["x", "y"]
 
+    def test_gathered_right_side_runs_once(self, ray_session, counting_ds):
+        """A dup-key right side falls back to the keyed join on the blocks
+        it gathered: its plan runs once."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from pubmed_and_method_ray.rayutil import sized_broadcast_join
+
+        left = rd.from_arrow(pa.table({"k": [1, 2], "lv": [10, 20]}))
+        right, runs = counting_ds({"k": [2, 2], "rv": ["x", "y"]})
+        out = sized_broadcast_join(left, right, "k", driver=True, num_partitions=2)
+        assert sorted(out.to_pandas()["rv"]) == ["x", "y"]
+        assert runs() == 1
+
+
+class TestHeavyKeyCensus:
+    """``rayutil.heavy_key_census``: the driver merge and the keyed
+    exchange (budget patched to 0) agree on every key kind the skew
+    guards feed it."""
+
+    @staticmethod
+    def _partials(keys, typ):
+        import pyarrow as pa
+
+        rng = np.random.RandomState(5)
+        blocks = []
+        for b in range(4):
+            pick = rng.randint(0, len(keys), 60)
+            ks, ns = np.unique(pick, return_counts=True)
+            blocks.append(
+                pa.table(
+                    {
+                        "key": pa.array([keys[i] for i in ks], typ),
+                        "n": pa.array(ns, pa.int64()),
+                    }
+                )
+            )
+        return blocks
+
+    @pytest.mark.parametrize("kind", ["uint64", "int64", "string", "empty"])
+    def test_forced_exchange_matches_driver(self, ray_session, monkeypatch, kind):
+        from collections import Counter
+
+        import pyarrow as pa
+        import ray.data as rd
+
+        from pubmed_and_method_ray import rayutil
+
+        keys, typ = {
+            # pair-gen host hashes (top bit set on three), asof keys
+            "uint64": ([(1 << 63) + 7, 3, (1 << 64) - 1, 1 << 63, 11], pa.uint64()),
+            "int64": ([-5, 0, 7, 1 << 40, 2], pa.int64()),
+            "string": (["b", "a", "ü", "", "zz"], pa.string()),
+            "empty": ([], pa.int64()),
+        }[kind]
+        blocks = self._partials(keys, typ) if keys else [
+            pa.table({"key": pa.array([], typ), "n": pa.array([], pa.int64())})
+        ]
+        want = Counter()
+        for t in blocks:
+            for k, n in zip(t["key"].to_pylist(), t["n"].to_pylist()):
+                want[k] += n * 2
+        want = {k: n for k, n in want.items() if n > 90}
+
+        def census():
+            k, n = rayutil.heavy_key_census(rd.from_arrow(blocks), 90, 2)
+            return k.to_pylist(), n.tolist()
+
+        auto = census()
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        assert census() == auto
+        assert auto == (sorted(want), [want[k] for k in sorted(want)])
+        assert bool(want) == bool(keys)
+
 
 def _keyed_rows():
     """Hypothesis rows for the keyed primitives: a nullable string key, a

@@ -10,9 +10,10 @@ import pytest
 import ray.data as rd
 
 from pubmed_and_method_ray.sources.pages import pages_from_documents_batch
-from pubmed_and_method_ray.stages.blocking import block_census, generate_pairs
-from pubmed_and_method_ray.stages.mention_prep import NormalizeMentions, extract_stage
+from pubmed_and_method_ray.stages.blocking import generate_pairs
+from pubmed_and_method_ray.stages.mention_prep import extract_stage, normalize_batch
 
+import numpy as np
 import pyarrow as pa
 
 
@@ -27,8 +28,7 @@ def _mentions_table(n_docs=40, expand_k=4):
         }
     )
     pages = pages_from_documents_batch(batch, expand_k=expand_k, n_hosts=5)
-    norm = NormalizeMentions()
-    return norm(extract_stage(pages))
+    return normalize_batch(extract_stage(pages))
 
 
 def _brute_force_pairs(mentions: pa.Table) -> set[tuple[str, str]]:
@@ -307,12 +307,11 @@ class TestHeavyHostPacking:
     def test_lpt_pack_balances_quadratic_work(self):
         import numpy as np
 
-        from pubmed_and_method_ray.stages.blocking import pack_heavy_hosts
+        from pubmed_and_method_ray.rayutil import lpt_buckets
 
         # zipf-ish host sizes; hash assignment would lump the head
         counts = np.array([500, 400, 300, 200, 100, 100, 90, 80], np.int64)
-        keys = np.arange(len(counts), dtype=np.uint64)
-        buckets = pack_heavy_hosts(keys, counts, 4)
+        buckets = lpt_buckets(counts**2, 4)
         assert buckets.min() >= 0 and buckets.max() < 4
         w = counts.astype(float) ** 2
         loads = np.bincount(buckets, weights=w, minlength=4)
@@ -324,34 +323,33 @@ class TestHeavyHostPacking:
 
 
 class TestSkewCensus:
-    def test_distributed_census_matches_driver_merge(self, mentions):
+    def test_distributed_census_matches_driver_merge(self, mentions, monkeypatch):
         """The off-driver (keyed-exchange) census path must agree exactly
         with the driver-merge path: only over-threshold hosts, sorted."""
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.stages.blocking import skew_table_fast
 
         ds = rd.from_arrow(mentions)
-        k_drv, n_drv = skew_table_fast(ds, n_max=8, sample_mod=1, distributed=False)
-        k_dst, n_dst = skew_table_fast(ds, n_max=8, sample_mod=1, distributed=True)
+        k_drv, n_drv = skew_table_fast(ds, n_max=8, sample_mod=1)
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        k_dst, n_dst = skew_table_fast(ds, n_max=8, sample_mod=1)
+        assert k_drv.dtype == k_dst.dtype == np.uint64
         assert (k_drv == k_dst).all()
         assert (n_drv == n_dst).all()
         assert len(k_drv) > 0  # n_max=8 makes every real host heavy
+        assert (np.diff(k_drv.astype(object)) > 0).all()  # sorted, unsigned
 
-    def test_checkpoint_read_back_all_paths_agree(self, mentions, tmp_path, caplog):
-        """On a checkpoint read-back, auto takes the driver merge (the
-        size is known from footers) and all three paths agree."""
-        import logging
-
+    def test_checkpoint_read_back_all_paths_agree(self, mentions, tmp_path, monkeypatch):
+        """On a checkpoint read-back both merge paths agree."""
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.stages import blocking
 
         ds = _checkpoint_read_back(mentions, str(tmp_path / "mentions"))
-        with caplog.at_level(logging.INFO, logger=blocking.__name__):
-            k_auto, n_auto = blocking.skew_table_fast(ds, n_max=8)
-        assert "distributed merge" not in caplog.text
-        k_drv, n_drv = blocking.skew_table_fast(ds, n_max=8, distributed=False)
-        k_dst, n_dst = blocking.skew_table_fast(ds, n_max=8, distributed=True)
+        k_auto, n_auto = blocking.skew_table_fast(ds, n_max=8)
+        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        k_dst, n_dst = blocking.skew_table_fast(ds, n_max=8)
         assert len(k_auto) > 0
-        for k, n in ((k_drv, n_drv), (k_dst, n_dst)):
-            assert (k == k_auto).all() and (n == n_auto).all()
+        assert (k_dst == k_auto).all() and (n_dst == n_auto).all()
 
 
 def _checkpoint_read_back(mentions, stage_dir):
@@ -395,25 +393,3 @@ class TestKnownSize:
         mapped = ds.map_batches(touch, batch_format="pyarrow")
         assert known_size(mapped) == (None, None)
         assert not marker.exists()
-
-
-class TestBlockCensus:
-    def test_census_counts(self, mentions):
-        ds = rd.from_arrow(mentions)
-        from pubmed_and_method_ray.functions.simhash import DEFAULT_BANDS
-
-        census = block_census(ds).to_pandas()
-        # every mention contributes exactly N_BANDS keys
-        assert census["count()"].sum() == mentions.num_rows * DEFAULT_BANDS
-        # recompute one key's count independently
-        hosts = mentions["host"].to_pylist()
-        bands = mentions["bands"].to_pylist()
-        from collections import Counter
-
-        c = Counter(
-            f"{h}|{i}|{int(v):x}"
-            for h, bs in zip(hosts, bands)
-            for i, v in enumerate(bs)
-        )
-        got = dict(zip(census["block_key"], census["count()"]))
-        assert got == dict(c)

@@ -769,33 +769,6 @@ def _labels(ds, node_col="url", label_col="cluster_id"):
     return dict(zip(df[node_col], df[label_col]))
 
 
-def _counting_edges(cols):
-    """A lazy one-block edge Dataset whose upstream ``map_batches``
-    counts its runs, and a callable that returns that count."""
-    import ray
-    import pyarrow as pa
-
-    @ray.remote
-    class Counter:
-        def __init__(self):
-            self.n = 0
-
-        def inc(self):
-            self.n += 1
-
-        def get(self):
-            return self.n
-
-    counter = Counter.remote()
-
-    def counting(batch: pa.Table) -> pa.Table:
-        ray.get(counter.inc.remote())
-        return batch
-
-    edges = ray.data.from_arrow(pa.table(cols)).map_batches(counting, batch_format="pyarrow")
-    return edges, lambda: ray.get(counter.get.remote())
-
-
 class TestConnectedComponents:
     def test_distributed_matches_driver(self, pages, result):
         from pubmed_and_method_ray.stages.cluster import (
@@ -945,7 +918,7 @@ class TestConnectedComponents:
         )
         assert _labels(out) == {x: "a00" for x in leaves + ["z"]}
 
-    def test_distributed_consumes_edges_once(self):
+    def test_distributed_consumes_edges_once(self, counting_ds):
         """The (possibly lazy) edge dataset's upstream must execute
         exactly once: one split pass seeds the partition state.
         Consuming edges twice re-executes the whole fused
@@ -955,23 +928,47 @@ class TestConnectedComponents:
             connected_components_distributed,
         )
 
-        edges, runs = _counting_edges({"url_1": ["a", "b"], "url_2": ["b", "c"]})
+        edges, runs = counting_ds({"url_1": ["a", "b"], "url_2": ["b", "c"]})
         out = connected_components_distributed(_nodes_ds(["a", "b", "c"]), edges)
         assert _labels(out) == {"a": "a", "b": "a", "c": "a"}
         assert runs() == 1
 
-    def test_auto_over_budget_runs_edges_once(self):
+    def test_auto_over_budget_runs_edges_once(self, counting_ds):
         """``auto`` past ``driver_max_edges`` hands the blocks it counted
         to the distributed path: the lazy edge upstream runs once, not
         once to count and again to cluster."""
         from pubmed_and_method_ray.stages.cluster import assign_clusters
 
-        edges, runs = _counting_edges({"url_1": ["a", "b", "d"], "url_2": ["b", "c", "e"]})
+        edges, runs = counting_ds({"url_1": ["a", "b", "d"], "url_2": ["b", "c", "e"]})
         nodes = _nodes_ds(["a", "b", "c", "d", "e", "f"])
         out = assign_clusters(nodes, edges, method="auto", driver_max_edges=1)
         want = {"a": "a", "b": "a", "c": "a", "d": "d", "e": "d", "f": "f"}
         assert _labels(out) == want
         assert runs() == 1
+
+    def test_driver_int_node_ids_without_edges(self):
+        """Dedup's no-pairs case: int64 node ids, an empty edge set, the
+        driver path; every node labels itself."""
+        import pyarrow as pa
+
+        from pubmed_and_method_ray.stages.cluster import assign_clusters
+
+        ids = pa.array([3, 1, 2], pa.int64())
+        empty = pa.array([], pa.int64())
+        for edges in (
+            rd.from_arrow(pa.table({"doc_id1": empty, "doc_id2": empty})),
+            rd.from_items([]),
+        ):
+            out = assign_clusters(
+                _nodes_ds(ids, "doc_id"),
+                edges,
+                method="driver",
+                node_col="doc_id",
+                edge_cols=("doc_id1", "doc_id2"),
+                label_col="canonical_id",
+            ).materialize()
+            assert out.schema().base_schema.field("canonical_id").type == pa.int64()
+            assert _labels(out, "doc_id", "canonical_id") == {1: 1, 2: 2, 3: 3}
 
     def test_distributed_int_node_ids(self):
         """Generic edge/node columns: int64 doc ids instead of url strings."""

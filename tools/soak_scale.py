@@ -14,8 +14,12 @@ and asserts they agree with the driver paths on the same input:
    doc_id1's sketch, then by doc_id2 and checked against its sketch,
    ``dedup._verify_pairs_exchange``) — row-identical to the
    driver-verify run;
-3. canonical-docs with driver_max_edges=0 (forces distributed min-label
-   CC) — row-identical to the driver union-find run.
+3. canonical-docs with driver_max_edges=0 (forces ``assign_clusters``'
+   distributed min-label CC) — row-identical to its driver-path run;
+4. flagship ER again with the heavy-key census budget
+   (``rayutil._CENSUS_DRIVER_BUDGET``) at 0, so the skew census merges in
+   its keyed exchange — the sorted (url, cluster_id) assignments must
+   equal the auto run's.
 
 Usage: python tools/soak_scale.py  (env: GRAFT_SF_DIR, RAY_GRAFT_CPUS,
 GRAFT_SOAK_REPEAT). Prints one JSON line; record in BASELINE.md.
@@ -78,7 +82,7 @@ def main() -> None:
     def canon(df):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    def er_run(cc_method: str):
+    def er_run(cc_method: str, name: str | None = None):
         pages = read_parquet_clean(pages_dir, file_extensions=["parquet"])
         t0 = time.perf_counter()
         res = run_er_pipeline(
@@ -87,7 +91,7 @@ def main() -> None:
         )
         clusters = res["clusters"].select_columns(["url", "cluster_id"]).to_pandas()
         sec = time.perf_counter() - t0
-        out[f"er_{cc_method}"] = {
+        out[f"er_{name or cc_method}"] = {
             "sec": round(sec, 2),
             "rows": len(clusters),
             "clusters": int(clusters["cluster_id"].nunique()),
@@ -99,6 +103,16 @@ def main() -> None:
     er_auto = er_run("auto")
     assert len(er_auto) == n_pages, (len(er_auto), n_pages)
     assert er_dist.equals(er_auto), "ER cluster assignments disagree"
+
+    from pubmed_and_method_ray import rayutil
+
+    budget = rayutil._CENSUS_DRIVER_BUDGET
+    rayutil._CENSUS_DRIVER_BUDGET = 0
+    try:
+        er_census = er_run("auto", "exchange_census")
+    finally:
+        rayutil._CENSUS_DRIVER_BUDGET = budget
+    assert er_census.equals(er_auto), "ER census merge paths disagree"
 
     t0 = time.perf_counter()
     lsh_dist = canon(dedup.dedup_minhash_lsh(SF_DIR, driver_max_pairs=0).to_pandas())
