@@ -96,9 +96,7 @@ def pair_sums(h, e, r, c):
     return tp, grp_pairs(h, r), grp_pairs(h, e), grp_pairs(h)
 
 
-def external_id_baseline(
-    sf_dir: str, expand_k: int = 3, driver: "bool | None" = None
-):
+def external_id_baseline(sf_dir: str, expand_k: int = 3):
     """E5 — the external-ID trivial baseline
     (/root/reference/src/comparison/author_id_baseline.py:19-35): predict
     same_entity := same registry id, DROP pairs where either side's id is
@@ -118,12 +116,12 @@ def external_id_baseline(
     is ever enumerated: registry lookup + unknown-filter per batch, a
     per-batch np.unique pre-aggregation to (host, ent, rid, cnt) rows,
     then ONE budget-guarded grouped sum over unique triples
-    (``sized_groupby_agg``: driver merge when knowably small, keyed
-    exchange otherwise). The exchange carries triple counts, not page
-    rows, and the count algebra is O(rows), not O(pairs) — at web scale
-    a mega-host costs the same as any other. Returns a one-row frame:
-    counts + accuracy/precision/recall/f1 (exact integers, identical to
-    the oracle's pairwise enumeration).
+    (``sized_groupby_agg``: driver merge up to ``rayutil.DRIVER_BYTES``
+    of partials, keyed exchange otherwise). The exchange carries triple
+    counts, not page rows, and the count algebra is O(rows), not
+    O(pairs) — at web scale a mega-host costs the same as any other.
+    Returns a one-row frame: counts + accuracy/precision/recall/f1
+    (exact integers, identical to the oracle's pairwise enumeration).
     """
     import hashlib
     import re
@@ -131,6 +129,7 @@ def external_id_baseline(
     import pandas as pd
     import pyarrow as pa
 
+    from .. import rayutil
     from ..rayutil import (
         keyed_repartition,
         known_size,
@@ -206,11 +205,7 @@ def external_id_baseline(
         .materialize()
     )
     _, n_bytes = known_size(partials)
-    driver_ok = (
-        (n_bytes is not None and n_bytes <= (32 << 20))
-        if driver is None
-        else driver
-    )
+    driver_ok = rayutil.on_driver(n_bytes, rayutil.DRIVER_BYTES)
     merged = sized_groupby_agg(
         partials,
         ["host_id", "ent", "rid"],

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 
+from .. import rayutil
 from ..rayutil import (
     _arrow_blocks,
     _merge_part,
@@ -201,7 +202,7 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         collide distinct blocks."""
         import pyarrow.compute as pc
 
-        from ..stages.features import gather_list_rows
+        from ..stages.features import gather_list_rows, triangle_salt
         from ..stages.mention_prep import get_broadcast
 
         sz = get_broadcast(sizes_ref)
@@ -217,11 +218,7 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
             dtype=np.int64,
             count=n,
         )
-        p = ids % S
-        total = int(S.sum())
-        out_idx = np.repeat(np.arange(n, dtype=np.int64), S)
-        q = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(S) - S, S)
-        pe = p[out_idx]
+        out_idx, pe, sa, sb = triangle_salt(S, ids % S)
         lens = np.fromiter((len(x) for x in toks), dtype=np.int64, count=n)
         base_off = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
         flat = np.concatenate(toks) if n else np.empty(0, np.uint64)
@@ -233,8 +230,8 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         take = pa.array(out_idx, pa.int64())
         return pa.Table.from_pydict(
             {
-                "sa": pa.array(np.minimum(pe, q).astype(np.int32), pa.int32()),
-                "sb": pa.array(np.maximum(pe, q).astype(np.int32), pa.int32()),
+                "sa": pa.array(sa.astype(np.int32), pa.int32()),
+                "sb": pa.array(sb.astype(np.int32), pa.int32()),
                 "part": pa.array(pe.astype(np.int32), pa.int32()),
                 "doc_id": t["doc_id"].take(take),
                 "lang": t["lang"].take(take),
@@ -498,9 +495,9 @@ def _overflow_salt_rows(t: pa.Table, n_max: int) -> pa.Table:
     """Triangle-join salt replication for buckets LARGER than n_max (the
     degenerate boilerplate-corpus shape): each member goes to every
     salt-group pair containing its salt p = doc_id % S, S = ceil(n/n_max)
-    — same construction as the mega-block salting in stages/blocking.py.
-    Empty in the common (no mega-bucket) case, so the salted exchange
-    never spins up."""
+    (``features.triangle_salt``, as the mega-host salting of
+    stages/blocking.py). Empty in the common (no mega-bucket) case, so
+    the salted exchange never spins up."""
     empty = pa.Table.from_pydict(
         {
             "band_key": pa.array([], t.schema.field("band_key").type),
@@ -512,32 +509,25 @@ def _overflow_salt_rows(t: pa.Table, n_max: int) -> pa.Table:
     )
     if t.num_rows == 0:
         return empty
-    import math
+    from ..stages.features import triangle_salt
 
     t = t.combine_chunks()
     order, bounds, ids = _bucket_segments(t)
-    takes, sas, sbs, parts = [], [], [], []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        n = s1 - s0
-        if n <= n_max:
-            continue
-        seg = order[s0:s1]
-        S = math.ceil(n / n_max)
-        p = ids[seg] % S
-        for q in range(S):
-            takes.append(seg)
-            sas.append(np.minimum(p, q))
-            sbs.append(np.maximum(p, q))
-            parts.append(p)
-    if not takes:
+    sizes = np.diff(bounds)
+    # S per row in bucket order; S > 1 exactly for buckets over n_max
+    S = np.repeat(-(-sizes // n_max), sizes)
+    big = S > 1
+    if not big.any():
         return empty
-    take = pa.array(np.concatenate(takes), pa.int64())
+    seg, S = order[big], S[big]
+    rows, part, sa, sb = triangle_salt(S, ids[seg] % S)
+    take = pa.array(seg[rows], pa.int64())
     return pa.Table.from_pydict(
         {
             "band_key": t["band_key"].take(take),
-            "sa": pa.array(np.concatenate(sas).astype(np.int32), pa.int32()),
-            "sb": pa.array(np.concatenate(sbs).astype(np.int32), pa.int32()),
-            "part": pa.array(np.concatenate(parts).astype(np.int32), pa.int32()),
+            "sa": pa.array(sa.astype(np.int32), pa.int32()),
+            "sb": pa.array(sb.astype(np.int32), pa.int32()),
+            "part": pa.array(part.astype(np.int32), pa.int32()),
             "doc_id": t["doc_id"].take(take),
         }
     )
@@ -767,8 +757,6 @@ def dedup_minhash_lsh(
     num_perm: int = 64,
     n_bands: int = 16,
     n_max: int = 4096,
-    driver_max_pairs: int = 250_000,
-    band_driver_rows: int = 4_000_000,
 ):
     """MinHash-LSH near-dup over token 3-shingles ->
     (doc_id1, doc_id2, jaccard >= threshold), each verified pair once.
@@ -784,20 +772,20 @@ def dedup_minhash_lsh(
     3. Buckets ≤ n_max pair up locally (vectorized triu); larger buckets
        emit triangle-salted rows into a SECOND exchange, keyed on a hash
        of (band_key, sa, sb), that only runs when a mega-bucket exists.
-    4. Verify is budget-guarded: ≤ driver_max_pairs dedupes + verifies
-       via one broadcast-filtered gather and a single vectorized
-       multi-pair jaccard; past the budget two task rounds keyed on
-       doc_id1, then doc_id2, dedupe and verify them against the
-       sketches (``_verify_pairs_exchange``).
+    4. Verify is budget-guarded: ≤ ``rayutil.LSH_DRIVER_PAIRS`` pairs
+       dedupe + verify via one broadcast-filtered gather and a single
+       vectorized multi-pair jaccard; past the budget two task rounds
+       keyed on doc_id1, then doc_id2, dedupe and verify them against
+       the sketches (``_verify_pairs_exchange``).
 
     Small-input fast path (same contract as ``rayutil.sized_groupby_agg``
     — forced-path parity tested): when the band table is driver-sized
-    (≤ ``band_driver_rows`` rows of (band_key, doc_id), 48 bytes each at
-    the defaults) AND its estimated candidate count fits
-    ``driver_max_pairs``, the bucket grouping runs as ONE driver sort
-    instead of the keyed exchange — the exchange's fixed cost (one split
-    task per block, one merge task per partition, a barrier) exceeds
-    sorting a few MB.
+    (≤ ``rayutil.LSH_BAND_DRIVER_ROWS`` rows of (band_key, doc_id), 48
+    bytes each at the defaults) AND its estimated candidate count fits
+    ``rayutil.LSH_DRIVER_PAIRS``, the bucket grouping runs as ONE driver
+    sort instead of the keyed exchange — the exchange's fixed cost (one
+    split task per block, one merge task per partition, a barrier)
+    exceeds sorting a few MB.
     Web-scale inputs exceed the row budget and take the exchange path
     unchanged.
     """
@@ -810,7 +798,7 @@ def dedup_minhash_lsh(
     ).materialize()
     n_docs = sketched.count()
 
-    if n_docs * n_bands <= band_driver_rows:
+    if rayutil.on_driver(n_docs * n_bands, rayutil.LSH_BAND_DRIVER_ROWS):
         bt = list(
             sketched.map_batches(_explode_bands, batch_format="pyarrow")
             .iter_batches(batch_format="pyarrow", batch_size=65536)
@@ -828,7 +816,7 @@ def dedup_minhash_lsh(
         segments = _bucket_segments(band_tab)
         sizes = np.diff(segments[1])
         est_pairs = int(np.sum(sizes * (sizes - 1) // 2))
-        if est_pairs <= driver_max_pairs:
+        if rayutil.on_driver(est_pairs, rayutil.LSH_DRIVER_PAIRS):
             lo, hi = _segment_pairs(segments, n_max=band_tab.num_rows)
             pairs = np.stack(_sort_pairs(lo, hi, distinct=True), axis=1)
             return _verify_pairs_driver(pairs, sketches, threshold)
@@ -867,7 +855,7 @@ def dedup_minhash_lsh(
     # counts; past the budget the task verify gets these same blocks, so
     # the plan does not run again
     refs, n_cands = run_blocks(cands)
-    if n_cands > driver_max_pairs:
+    if not rayutil.on_driver(n_cands, rayutil.LSH_DRIVER_PAIRS):
         return _verify_pairs_exchange(rd.from_arrow_refs(refs), sketches, threshold)
     got = pa.concat_tables(
         [_EMPTY_PAIRS]
@@ -879,9 +867,7 @@ def dedup_minhash_lsh(
     return _verify_pairs_driver(np.stack(pairs, axis=1), sketches, threshold)
 
 
-def dedup_canonical_docs(
-    sf_dir: str, threshold: float = 0.8, driver_max_edges: int = 2_000_000
-):
+def dedup_canonical_docs(sf_dir: str, threshold: float = 0.8):
     """The dedup family's END PRODUCT: one canonical doc per near-dup
     cluster. MinHash-LSH verified pairs (jaccard >= threshold) form
     edges; connected components pick min doc_id per cluster as the
@@ -889,7 +875,7 @@ def dedup_canonical_docs(
     (doc_id, canonical_id, is_canonical).
 
     The components come from ``stages.cluster.assign_clusters``: on the
-    driver up to ``driver_max_edges`` edges, past it on tasks — at web
+    driver up to ``rayutil.DRIVER_EDGES`` edges, past it on tasks — at web
     scale verified near-dup pairs can exceed driver memory."""
     import pyarrow.compute as pc
 
@@ -898,7 +884,6 @@ def dedup_canonical_docs(
     labels = assign_clusters(
         _read_documents(sf_dir, ["doc_id"]),
         dedup_minhash_lsh(sf_dir, threshold=threshold),
-        driver_max_edges=driver_max_edges,
         node_col="doc_id",
         edge_cols=("doc_id1", "doc_id2"),
         label_col="canonical_id",
@@ -953,9 +938,9 @@ def dedup_simhash(sf_dir: str):
 
 def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8):
     """EXACT all-pairs cosine >= threshold, fully distributed: the
-    triangle-join replication (same construction as the mega-block
-    salting in stages/blocking.py) — each vector lands in partition
-    p = vec_id % P and is replicated to every partition-pair group
+    triangle-join replication (``features.triangle_salt``, as the
+    mega-host salting in stages/blocking.py) — each vector lands in
+    partition p = vec_id % P and is replicated to every partition-pair group
     (min(p,q), max(p,q)); each group holds two partitions and runs ONE
     vectorized matmul between them. No driver materialization, no full
     broadcast; shuffle volume is P x input, work is the inherent O(n^2)
@@ -963,6 +948,7 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
     approximate web-scale path)."""
     from ..rayutil import keyed_exchange, lpt_buckets
     from ..sources.io import read_parquet_sized
+    from ..stages.features import triangle_salt
 
     dsz = read_parquet_sized(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
@@ -991,28 +977,21 @@ def dedup_embedding_cosine(sf_dir: str, threshold: float = 0.3, n_parts: int = 8
         # offset (a sliced chunk has eoff[0] != 0)
         V = evals[eoff[0] : eoff[-1]].reshape(len(ids), edim).astype(np.float64)
         V = V / np.linalg.norm(V, axis=1, keepdims=True)
-        p = (ids % n_parts).astype(np.int64)
-        out_ids, out_part, out_grp, out_vecs = [], [], [], []
-        for q in range(n_parts):
-            a = np.minimum(p, q)
-            b = np.maximum(p, q)
-            out_ids.append(ids)
-            out_part.append(p)
-            out_grp.append(a * n_parts + b)
-            out_vecs.append(V)
-        V2 = np.concatenate(out_vecs, axis=0)
+        S = np.full(len(ids), n_parts)
+        rows, part, sa, sb = triangle_salt(S, ids % n_parts)
+        V2 = V[rows]
         n, dim = V2.shape
         vlist = pa.ListArray.from_arrays(
             pa.array(np.arange(0, (n + 1) * dim, dim, dtype=np.int32)),
             pa.array(V2.ravel(), pa.float64()),
         )
-        grp_all = np.concatenate(out_grp)
+        grp_all = sa * n_parts + sb
         return pa.Table.from_pydict(
             {
                 "grp": pa.array(grp_all, pa.int32()),
                 "bucket": pa.array(bucket_of_grp[grp_all], pa.int32()),
-                "part": pa.array(np.concatenate(out_part), pa.int32()),
-                "vec_id": pa.array(np.concatenate(out_ids), pa.int64()),
+                "part": pa.array(part, pa.int32()),
+                "vec_id": pa.array(ids[rows], pa.int64()),
                 "v": vlist,
             }
         )

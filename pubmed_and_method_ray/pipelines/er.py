@@ -28,6 +28,7 @@ from ..functions.metrics import (
     cluster_full_gold_metrics,
     cluster_pairwise_metrics,
 )
+from .. import rayutil
 from ..rayutil import known_size, sized_groupby_agg
 from ..sources import checkpoint as ckpt
 from ..stages.blocking import generate_pair_features
@@ -94,9 +95,6 @@ def train_pairwise_model(features_ds, seed: int = 42) -> str:
     return model.to_json()
 
 
-_DISTINCT_BUDGET_BYTES = 32 << 20  # as sized_groupby_agg's driver budget
-
-
 def _stage_counters(name: str, threshold: float):
     """Golden per-stage counts (the reference asserts stage cardinalities
     after every SQL step, database/pubmed_inner_outer_feature.sql:106-108)
@@ -104,8 +102,9 @@ def _stage_counters(name: str, threshold: float):
     counts and sums, and each distinct column's unique values or, above
     its cap, None: then ``sized_groupby_agg`` counts it over the
     read-back. Task i's cap is budget / (2 (i+1)^2): with any task count
-    a counter's values total at most pi^2/12 of ``_DISTINCT_BUDGET_BYTES``."""
-    budget = _DISTINCT_BUDGET_BYTES
+    a counter's values total at most pi^2/12 of ``rayutil.DRIVER_BYTES``
+    (read here, on the driver; ``partial`` runs in the write tasks)."""
+    budget = rayutil.DRIVER_BYTES
     rows_key, sums, distincts = {
         "mentions": ("mentions", {}, {"distinct_hosts": "host"}),
         "features": ("pairs", {"gold_pairs": lambda t: t["label"]}, {}),

@@ -13,6 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import rayutil
 from ..rayutil import keyed_join, keyed_map_groups, keyed_repartition, run_blocks
 
 
@@ -252,23 +253,24 @@ def _revenue_by_nation_join(sf_dir: str, cust_ds, nat_map: dict):
     return agg.map_batches(_rev_c_to_revenue, batch_format="pyarrow")
 
 
-def revenue_by_nation(sf_dir: str, broadcast_max_rows: int = 5_000_000):
+def revenue_by_nation(sf_dir: str):
     """3-way join expressed Ray-Data-first for star schemas (SURVEY.md
     J1/J2): lineitem pre-aggregates per order inside map_batches
     (fixed-point partials), then joins the fact-sized orders table
-    (``rayutil.sized_broadcast_join``). The customer⋈nation side is SIZE-GUARDED:
-    below ``broadcast_max_rows`` customers it broadcasts via ray.put
-    (one object fetch per worker, no exchange); above — the customer
-    dimension grows linearly with the corpus, so a GB-scale dict per
-    worker would not hold — it becomes a second keyed join on o_custkey
-    (nation alone always broadcasts: 25 rows)."""
+    (``rayutil.sized_broadcast_join``). The customer⋈nation side is
+    SIZE-GUARDED: up to ``rayutil.DRIVER_ROWS`` customers (the parquet
+    footers' row count, known without a pass over the table) it
+    broadcasts via ray.put (one object fetch per worker, no exchange);
+    above, or when the size is unknowable — the customer dimension grows
+    linearly with the corpus, so a GB-scale dict per worker would not
+    hold — it becomes a second keyed join on o_custkey (nation alone
+    always broadcasts: 25 rows)."""
     import ray
 
     cust_ds = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nat_map = dict(zip(nat["n_nationkey"], nat["n_name"]))
-    n_cust = cust_ds.count()
-    if n_cust > broadcast_max_rows:
+    if not rayutil.on_driver(rayutil.known_size(cust_ds)[0], rayutil.DRIVER_ROWS):
         return _revenue_by_nation_join(sf_dir, cust_ds, nat_map)
     cust = cust_ds.to_pandas()
     cust_nation = dict(
@@ -537,13 +539,11 @@ def _segment_keys(t: pa.Table, segment: str) -> pa.Table:
     return t.filter(pc.equal(t["c_mktsegment"], segment)).select(["c_custkey"])
 
 
-def semi_join_orders(
-    sf_dir: str, segment: str = "BUILDING", broadcast_max_rows: int = 5_000_000
-):
+def semi_join_orders(sf_dir: str, segment: str = "BUILDING"):
     """Semi-join (J2 analog: the gold-paper filter at
     database/pubmed_inner_outer_feature.sql:91-92): keep orders whose
-    customer is in the segment. SIZE-GUARDED: below
-    ``broadcast_max_rows`` filtered customers, the key set broadcasts
+    customer is in the segment. SIZE-GUARDED: up to
+    ``rayutil.DRIVER_ROWS`` filtered customers, the key set broadcasts
     (sorted int64 array + searchsorted membership — no exchange at all);
     above — the customer dimension grows with the corpus — it becomes a
     ``rayutil.keyed_join`` on the customer key. The segment filter runs
@@ -558,7 +558,7 @@ def semi_join_orders(
     refs, n_keys = run_blocks(seg_keys)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
-    if n_keys > broadcast_max_rows:
+    if not rayutil.on_driver(n_keys, rayutil.DRIVER_ROWS):
         # semi-join via inner join: keys are unique per customer, so it
         # neither duplicates nor drops order rows, and the right side
         # adds no column

@@ -15,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import rayutil
 from ..rayutil import keyed_join, keyed_repartition, shuffle_partitions
 
 # fixed stopword list mirrored verbatim in the SQL oracle
@@ -379,7 +380,7 @@ def tag_entities(sf_dir: str):
     )
 
 
-def doc_keywords(sf_dir: str, top_k: int = 5, small_budget_bytes: int = 32 << 20):
+def doc_keywords(sf_dir: str, top_k: int = 5):
     """Per-doc top-k keywords by tf-idf (the MAUI keyword-extractor analog
     T3, /root/reference/Dependency-Feature/.../MauiExtractedKeywords.java:7-36),
     fully distributed — no driver-side vocabulary:
@@ -391,7 +392,9 @@ def doc_keywords(sf_dir: str, top_k: int = 5, small_budget_bytes: int = 32 << 20
            top-k (pandas sort + groupby.head)           [exchange 3]
 
     idf = ln((1+N)/(1+df)) + 1, score = tf*idf, tie-break by token —
-    bit-identical to the DuckDB window-SQL oracle.
+    bit-identical to the DuckDB window-SQL oracle. Up to
+    ``rayutil.DRIVER_BYTES`` of compressed documents the DF table merges
+    on the driver and broadcasts instead (no exchange at all).
     Output: (doc_id, keywords csv)."""
     import math
 
@@ -450,7 +453,7 @@ def doc_keywords(sf_dir: str, top_k: int = 5, small_budget_bytes: int = 32 << 20
             }
         )
 
-    if n_bytes is not None and n_bytes <= small_budget_bytes:
+    if rayutil.on_driver(n_bytes, rayutil.DRIVER_BYTES):
         # small-corpus path: DF table merges on the driver and BROADCASTS
         # (ray.put once, searchsorted lookup per batch) — no join and no
         # doc_id repartition at all, because explode's output batches are

@@ -9,6 +9,32 @@ from __future__ import annotations
 import math
 from functools import partial
 
+# The driver budgets: the one table of "gather to the driver or run the
+# task exchange" limits. Every guard reads its limit here, as
+# ``rayutil.X`` at call time on the driver (a test or a soak forces a
+# path by setting the constant), and decides with ``on_driver``. Each
+# value's A/B is in BASELINE.md (round 5 "Measured results").
+#
+# compressed source bytes (or partial-block bytes): sized_groupby_agg,
+# sized_broadcast_join, doc_keywords' DF broadcast, external_id_baseline
+# and the ER checkpoint's distinct counters (pipelines/er._stage_counters)
+DRIVER_BYTES = 32 << 20
+# rows: the heavy-key census merge (heavy_key_census), and the customer
+# broadcasts of relational.revenue_by_nation and semi_join_orders
+DRIVER_ROWS = 5_000_000
+# match edges: stages/cluster.assign_clusters(method="auto")
+DRIVER_EDGES = 2_000_000
+# dedup_minhash_lsh: candidate pairs verified on the driver, and
+# (band_key, doc_id) rows grouped by one driver sort
+LSH_DRIVER_PAIRS = 250_000
+LSH_BAND_DRIVER_ROWS = 4_000_000
+
+
+def on_driver(size: "int | None", limit: int) -> bool:
+    """The one driver-or-exchange decision: a size is on the driver
+    when it is known and at most ``limit``."""
+    return size is not None and size <= limit
+
 
 def cluster_cpus(default: int = 8) -> int:
     """Total cluster CPUs (falls back to ``default`` pre-init)."""
@@ -481,7 +507,6 @@ def sized_groupby_agg(
     *,
     n_bytes: "int | None" = None,
     num_partitions: "int | None" = None,
-    budget_bytes: int = 32 << 20,
     driver: "bool | None" = None,
 ):
     """Budget-guarded grouped aggregate: one driver-side pyarrow
@@ -490,7 +515,7 @@ def sized_groupby_agg(
     driver paths). Both paths run the same kernel (``_group_agg``).
 
     When the query's source bytes are knowable (parquet footers) and
-    under ``budget_bytes`` (compressed), gather the per-batch PARTIALS
+    at most ``DRIVER_BYTES`` (compressed), gather the per-batch PARTIALS
     (already pre-aggregated upstream) and group them once on the driver;
     otherwise ``keyed_repartition`` exchanges the rows on the keys into
     ``num_partitions`` partitions (default ``shuffle_partitions()``) and
@@ -507,7 +532,7 @@ def sized_groupby_agg(
     import ray.data as rd
 
     if driver is None:
-        driver = n_bytes is not None and n_bytes <= budget_bytes
+        driver = on_driver(n_bytes, DRIVER_BYTES)
     if driver:
         tables = _arrow_blocks(run_blocks(ds)[0])
         if tables:
@@ -519,12 +544,6 @@ def sized_groupby_agg(
         batch_format="pyarrow",
         batch_size=None,
     )
-
-
-# driver-merge budget of ``heavy_key_census``: up to this many partial
-# rows merge on the driver; past it they merge in a keyed exchange that
-# hands only the heavy tail to the driver
-_CENSUS_DRIVER_BUDGET = 5_000_000
 
 
 def _keep_heavy(t, threshold: int, scale: int):
@@ -545,18 +564,17 @@ def heavy_key_census(partials, threshold: int, scale: int = 1):
     Returns (keys Array, int64 counts) of the keys whose summed ``n`` x
     ``scale`` exceeds ``threshold``, counts scaled, sorted by key.
 
-    ``partials`` runs once (``run_blocks``). Up to
-    ``_CENSUS_DRIVER_BUDGET`` partial rows its blocks merge on the
-    driver; past it the same blocks merge in ``sized_groupby_agg``'s
-    keyed exchange and only the heavy tail reaches the driver. Both
-    paths run ``_group_agg``."""
+    ``partials`` runs once (``run_blocks``). Up to ``DRIVER_ROWS``
+    partial rows its blocks merge on the driver; past it the same
+    blocks merge in ``sized_groupby_agg``'s keyed exchange and only the
+    heavy tail reaches the driver. Both paths run ``_group_agg``."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
     refs, n_rows = run_blocks(partials)
     spec = [("n", "sum", "n")]
-    if n_rows <= _CENSUS_DRIVER_BUDGET:
+    if on_driver(n_rows, DRIVER_ROWS):
         tables = [t for t in _arrow_blocks(refs) if t.num_rows]
         if tables:
             tbl = pa.concat_tables(tables, promote_options="default")
@@ -584,7 +602,6 @@ def sized_broadcast_join(
     *,
     n_bytes: "int | None" = None,
     num_partitions: "int | None" = None,
-    budget_bytes: int = 32 << 20,
     driver: "bool | None" = None,
 ):
     """Budget-guarded INNER join: broadcast-map when the right side is
@@ -592,7 +609,7 @@ def sized_broadcast_join(
 
     A keyed join exchanges both sides; for an N:1 join against a
     reference table of knowable small size (compressed parquet bytes <=
-    ``budget_bytes``) the engine instead gathers the RIGHT side once,
+    ``DRIVER_BYTES``) the engine instead gathers the RIGHT side once,
     ``ray.put``s sorted key/value arrays, and attaches the right columns
     with one vectorized searchsorted per left batch — no exchange at
     all, and the left side keeps streaming. Falls back to ``keyed_join``
@@ -607,7 +624,7 @@ def sized_broadcast_join(
     import ray.data as rd
 
     if driver is None:
-        driver = n_bytes is not None and n_bytes <= budget_bytes
+        driver = on_driver(n_bytes, DRIVER_BYTES)
     if driver:
         refs, _ = run_blocks(right)
         tabs = _arrow_blocks(refs)

@@ -31,13 +31,75 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..rayutil import heavy_key_census, keyed_repartition, shuffle_partitions
+from ..rayutil import (
+    heavy_key_census,
+    keyed_repartition,
+    run_blocks,
+    shuffle_partitions,
+)
+from .features import triangle_salt
 
 _SIDE = "__asof_side"
 
 
 def _null_array(n: int, typ: pa.DataType) -> pa.Array:
     return pa.nulls(n, typ)
+
+
+def _arrow_type(t) -> pa.DataType:
+    """A Ray schema type as an Arrow type: Ray reports pandas-backed
+    object columns as the PYTHON class (parquet-backed datasets — the
+    production path — always give Arrow types)."""
+    if isinstance(t, pa.DataType):
+        return t
+    if t in (object, str, bytes):
+        return pa.string()
+    return pa.from_numpy_dtype(np.dtype(t))
+
+
+def _run_once(ds):
+    """``ds`` run once (``rayutil.run_blocks``): a Dataset over its
+    blocks, and their {column: Arrow type}. The schema comes from the
+    block metadata, and the census and the exchange read these blocks,
+    so the upstream plan does not run again."""
+    import ray.data as rd
+
+    ds = rd.from_arrow_refs(run_blocks(ds)[0])
+    schema = ds.schema()
+    return ds, {n: _arrow_type(t) for n, t in zip(schema.names, schema.types)}
+
+
+def _salt_table(ds, key_col: str, salt_threshold: int | None):
+    """The mega-key guard's plan: (heavy keys Array, int64 S per key),
+    S = ceil(n / salt_threshold) for each key whose census count
+    (``_heavy_keys``) exceeds ``salt_threshold``; None when the guard is
+    off or no key is heavy."""
+    if salt_threshold is None:
+        return None
+    heavy = _heavy_keys(ds, key_col, salt_threshold)
+    if not heavy:
+        return None
+    S = -(-np.fromiter(heavy.values(), np.int64, len(heavy)) // salt_threshold)
+    return pa.array(list(heavy)), S
+
+
+def _ts_salt(t: pa.Table, ts_col: str, S: np.ndarray) -> np.ndarray:
+    """Each row's salt group in 0..S-1: a hash of its timestamp."""
+    from ..functions.hashing import splitmix64
+
+    ts = t[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    return splitmix64(np.asarray(ts).astype(np.uint64)) % S.astype(np.uint64)
+
+
+def _salts(col, salt_table) -> np.ndarray:
+    """Per-row S of a key column (1 for light keys): one vectorized
+    index_in hash probe against the (tiny) heavy-key array."""
+    import pyarrow.compute as pc
+
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    keys, S = salt_table
+    pos = np.asarray(pc.index_in(col, keys).fill_null(-1), dtype=np.int64)
+    return np.where(pos >= 0, S[np.maximum(pos, 0)], 1)
 
 
 def _asof_block(
@@ -179,34 +241,16 @@ def asof_join(
     block still computes correctly (the exchange emits one block per
     partition) but serializes in one task — the same documented
     assumption as pair-gen (stages/blocking.py)."""
-    def _arrow_type(t) -> pa.DataType:
-        # Ray's Schema reports pandas-backed object columns as the
-        # PYTHON class, not an Arrow type; normalize (parquet-backed
-        # datasets — the production path — always give Arrow types)
-        if isinstance(t, pa.DataType):
-            return t
-        if t in (object, str, bytes):
-            return pa.string()
-        return pa.from_numpy_dtype(np.dtype(t))
-
-    left_schema = left_ds.schema()
-    right_schema = right_ds.schema()
-    left_cols = list(left_schema.names)
+    left_ds, lt = _run_once(left_ds)
+    right_ds, rt = _run_once(right_ds)
+    left_cols = list(lt)
     right_out = [(f"{c}{suffix}", f"{c}{suffix}") for c in right_cols]
-
-    lt = {n: _arrow_type(t) for n, t in zip(left_schema.names, left_schema.types)}
-    rt = {n: _arrow_type(t) for n, t in zip(right_schema.names, right_schema.types)}
     if lt[key_col] != rt[key_col]:
         raise TypeError(f"key dtype mismatch: {lt[key_col]} vs {rt[key_col]}")
 
     # mega-key guard: S salt groups per heavy probe key (see docstring)
-    salt_of: dict = {}
-    if salt_threshold is not None:
-        salt_of = {
-            k: -(-n // salt_threshold)
-            for k, n in _heavy_keys(left_ds, key_col, salt_threshold).items()
-        }
-    salted = bool(salt_of)
+    salt_table = _salt_table(left_ds, key_col, salt_threshold)
+    salted = salt_table is not None
 
     # combined exchange schema: left cols + suffixed right payload
     # (+ salt when the guard is active) + side
@@ -216,41 +260,13 @@ def asof_join(
     combined_schema = pa.schema(combined + extra + [(_SIDE, pa.int8())])
     out_schema = pa.schema(combined)
 
-    heavy_keys_arr = pa.array(list(salt_of.keys())) if salt_of else None
-    heavy_S = (
-        np.fromiter(salt_of.values(), dtype=np.int64, count=len(salt_of))
-        if salt_of
-        else None
-    )
-
-    def _salts(t: pa.Table) -> np.ndarray:
-        """Per-row S (1 for light keys): one vectorized index_in hash
-        probe against the (tiny) heavy-key array, no per-row Python."""
-        if not salt_of:
-            return np.ones(t.num_rows, dtype=np.int64)
-        import pyarrow.compute as pc
-
-        idx = pc.index_in(t[key_col].combine_chunks(), heavy_keys_arr)
-        pos = np.asarray(idx.fill_null(-1), dtype=np.int64)
-        return np.where(pos >= 0, heavy_S[np.maximum(pos, 0)], 1)
-
     def tag_left(t: pa.Table) -> pa.Table:
         n = t.num_rows
         arrs = [t[c].combine_chunks() for c in left_cols]
         arrs += [_null_array(n, rt[c]) for c in right_cols]
         if salted:
-            from ..functions.hashing import splitmix64
-
-            S = _salts(t)
-            ts_u = np.asarray(
-                t[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            ).astype(np.uint64)
-            arrs.append(
-                pa.array(
-                    (splitmix64(ts_u) % S.astype(np.uint64)).astype(np.int32),
-                    pa.int32(),
-                )
-            )
+            salt = _ts_salt(t, ts_col, _salts(t[key_col], salt_table))
+            arrs.append(pa.array(salt.astype(np.int32), pa.int32()))
         arrs.append(pa.array(np.ones(n, dtype=np.int8)))
         return pa.Table.from_arrays(arrs, schema=combined_schema)
 
@@ -273,7 +289,7 @@ def asof_join(
             return out
         # replicate each heavy key's right rows to every salt group so
         # any probe group sees the key's full right history
-        S = _salts(t)
+        S = _salts(t[key_col], salt_table)
         take = np.repeat(np.arange(n, dtype=np.int64), S)
         rep = out.take(pa.array(take, pa.int64()))
         cum = np.cumsum(S) - S
@@ -399,66 +415,29 @@ def range_self_join(
     stages/blocking.py), and the exchange partitions on (key, sa, sb) so
     no task holds a whole hot key. Off by default: it adds a census pass
     and S-way replication of hot-key rows."""
-    schema = ds.schema()
-
-    def _arrow_type(t) -> pa.DataType:
-        if isinstance(t, pa.DataType):
-            return t
-        if t in (object, str, bytes):
-            return pa.string()
-        return pa.from_numpy_dtype(np.dtype(t))
-
-    types = {n: _arrow_type(t) for n, t in zip(schema.names, schema.types)}
+    ds, types = _run_once(ds)
     fields = [(key_col, types[key_col])]
     for c in emit_cols:
         fields += [(f"{c}_a", types[c]), (f"{c}_b", types[c])]
     fields.append(("gap_us", pa.int64()))
     out_schema = pa.schema(fields)
 
-    salt_of: dict = {}
-    if salt_threshold is not None:
-        salt_of = {
-            k: -(-n // salt_threshold)
-            for k, n in _heavy_keys(ds, key_col, salt_threshold).items()
-        }
-    if not salt_of:
+    salt_table = _salt_table(ds, key_col, salt_threshold)
+    if salt_table is None:
         return keyed_repartition(ds, [key_col], shuffle_partitions()).map_batches(
             lambda t: _range_block(t, key_col, ts_col, window, emit_cols, out_schema),
             batch_format="pyarrow",
             batch_size=None,
         )
 
-    from ..functions.hashing import splitmix64
-
-    heavy_keys_arr = pa.array(list(salt_of.keys()))
-    heavy_S = np.fromiter(salt_of.values(), dtype=np.int64, count=len(salt_of))
-
     def replicate(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         t = t.combine_chunks()
-        n = t.num_rows
-        # vectorized heavy-key lookup (index_in hash probe), no per-row
-        # Python even on salted batches
-        idx = pc.index_in(t[key_col].combine_chunks(), heavy_keys_arr)
-        pos = np.asarray(idx.fill_null(-1), dtype=np.int64)
-        S = np.where(pos >= 0, heavy_S[np.maximum(pos, 0)], 1)
-        ts_u = np.asarray(
-            t[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        ).astype(np.uint64)
-        p = (splitmix64(ts_u) % S.astype(np.uint64)).astype(np.int64)
-        take = np.repeat(np.arange(n, dtype=np.int64), S)
-        cum = np.cumsum(S) - S
-        q = np.arange(len(take), dtype=np.int64) - np.repeat(cum, S)
-        p_rep = np.repeat(p, S)
-        out = t.take(pa.array(take, pa.int64()))
-        out = out.append_column("__rj_p", pa.array(p_rep.astype(np.int32), pa.int32()))
-        out = out.append_column(
-            "__rj_sa", pa.array(np.minimum(p_rep, q).astype(np.int32), pa.int32())
-        )
-        return out.append_column(
-            "__rj_sb", pa.array(np.maximum(p_rep, q).astype(np.int32), pa.int32())
-        )
+        S = _salts(t[key_col], salt_table)
+        rows, part, sa, sb = triangle_salt(S, _ts_salt(t, ts_col, S))
+        out = t.take(pa.array(rows, pa.int64()))
+        out = out.append_column("__rj_p", pa.array(part.astype(np.int32), pa.int32()))
+        out = out.append_column("__rj_sa", pa.array(sa.astype(np.int32), pa.int32()))
+        return out.append_column("__rj_sb", pa.array(sb.astype(np.int32), pa.int32()))
 
     return keyed_repartition(
         ds.map_batches(replicate, batch_format="pyarrow"),

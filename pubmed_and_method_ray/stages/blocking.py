@@ -45,7 +45,7 @@ import pyarrow as pa
 from ..functions.hashing import fnv64_arrow, splitmix64, stable_hash64
 from ..rayutil import heavy_key_census, lpt_buckets
 from ..functions.simhash import DEFAULT_BANDS as N_BANDS
-from .features import run_pairs
+from .features import run_pairs, triangle_salt
 
 
 
@@ -207,8 +207,8 @@ def emit_pair_keys(
 ) -> pa.Table:
     """ONE exchange row per mention (host-partitioned banding): numeric
     host key, skew membership via searchsorted against the broadcast
-    host-skew arrays; only rare mega-HOST rows go through a Python
-    triangle-replication loop. Emits (host_h, n_true, salt, sa, sb,
+    host-skew arrays; only rare mega-HOST rows replicate
+    (``features.triangle_salt``). Emits (host_h, n_true, salt, sa, sb,
     bucket) — banding happens locally in the bucket task. The broadcast
     carries (salt keys, salt counts, packed-host keys, packed buckets):
     heavy-but-unsalted hosts take their pre-packed work-balanced bucket,
@@ -240,28 +240,23 @@ def emit_pair_keys(
     out_sa = [np.zeros(k, dtype=np.int32)]
     out_sb = [np.zeros(k, dtype=np.int32)]
 
-    # mega-host rows: Python replication loop (rare by construction)
+    # mega-host rows (rare by construction): salt = a url hash mod S,
+    # then the triangle-salt replication
     if hit.any():
-        urls = batch["url"].to_pylist()
-        r_, h_, n_, s0, a_, b_ = [], [], [], [], [], []
-        for row in np.nonzero(hit)[0]:
-            ntrue = int(skew_counts[pos_c[row]])
-            S = math.ceil(ntrue / n_max)
-            s = stable_hash64(urls[row], seed=0x5A) % S
-            for i in range(S):
-                a, b = (i, s) if i < s else (s, i)
-                r_.append(row)
-                h_.append(hh[row])
-                n_.append(ntrue)
-                s0.append(s)
-                a_.append(a)
-                b_.append(b)
-        out_row.append(np.array(r_, dtype=np.int64))
-        out_hh.append(np.array(h_, dtype=np.uint64))
-        out_n.append(np.array(n_, dtype=np.int64))
-        out_salt.append(np.array(s0, dtype=np.int32))
-        out_sa.append(np.array(a_, dtype=np.int32))
-        out_sb.append(np.array(b_, dtype=np.int32))
+        hit_rows = np.nonzero(hit)[0]
+        ntrue = skew_counts[pos_c[hit_rows]].astype(np.int64)
+        S = -(-ntrue // n_max)
+        urls = batch["url"].take(hit_rows).to_pylist()
+        h = np.fromiter(
+            (stable_hash64(u, seed=0x5A) for u in urls), np.uint64, len(urls)
+        )
+        rep, salt, sa, sb = triangle_salt(S, h % S.astype(np.uint64))
+        out_row.append(hit_rows[rep].astype(np.int64))
+        out_hh.append(hh[out_row[-1]])
+        out_n.append(ntrue[rep])
+        out_salt.append(salt.astype(np.int32))
+        out_sa.append(sa.astype(np.int32))
+        out_sb.append(sb.astype(np.int32))
 
     rows = np.concatenate(out_row)
     hhs = np.concatenate(out_hh)

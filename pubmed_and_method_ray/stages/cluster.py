@@ -12,9 +12,10 @@ the minimum node of its component:
 - ``distributed``: min-label propagation rounds on plain Ray tasks
   (``connected_components_distributed``), for any number of edges.
 
-``auto`` picks driver-side below ``driver_max_edges``, else distributed —
-and the distributed path is what a 256-node run would use. The switch is
-``assign_clusters``, for ER's url clusters and dedup's canonical docs.
+``auto`` picks driver-side up to ``rayutil.DRIVER_EDGES`` edges, else
+distributed — and the distributed path is what a 256-node run would
+use. The switch is ``assign_clusters``, for ER's url clusters and
+dedup's canonical docs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import rayutil
 from ..rayutil import (
     _arrow_blocks,
     _merge_part,
@@ -246,7 +248,6 @@ def assign_clusters(
     mentions_ds,
     edges_ds,
     method: str = "auto",
-    driver_max_edges: int = 2_000_000,
     *,
     node_col: str = "url",
     edge_cols: tuple[str, str] = ("url_1", "url_2"),
@@ -255,7 +256,7 @@ def assign_clusters(
     """nodes + match edges -> Dataset (``node_col``, ``label_col``), one
     row per ``mentions_ds`` row; a node without any edge labels itself.
     ``auto`` clusters on the driver (``min_label_components``) up to
-    ``driver_max_edges`` edges, else on tasks
+    ``rayutil.DRIVER_EDGES`` edges, else on tasks
     (``connected_components_distributed``)."""
     cols = {"node_col": node_col, "edge_cols": edge_cols, "label_col": label_col}
     if method in ("auto", "driver"):
@@ -264,7 +265,9 @@ def assign_clusters(
         # blocks, so the upstream (the fused pair exchange, when
         # streaming) does not run again
         refs, n_edges = run_blocks(edges_ds)
-        if method == "auto" and n_edges > driver_max_edges:
+        if method == "auto" and not rayutil.on_driver(
+            n_edges, rayutil.DRIVER_EDGES
+        ):
             method, edges_ds = "distributed", rd.from_arrow_refs(refs)
         else:
             method = "driver"

@@ -145,6 +145,19 @@ def run_pairs(starts: np.ndarray, sizes: np.ndarray):
     return np.repeat(left, cnt), j
 
 
+def triangle_salt(S: np.ndarray, p: np.ndarray):
+    """Triangle-join salt replication: row i, with salt ``p[i]`` of
+    ``S[i]`` groups, goes to every group (min(p, q), max(p, q)) for q in
+    0..S[i]-1, so each pair of rows meets in exactly one group. Returns
+    int64 (rows, part, sa, sb), one entry per replica: rows in input
+    order, each row's q ascending (one repeat/cumsum expansion)."""
+    S = np.asarray(S, dtype=np.int64)
+    rows = np.repeat(np.arange(len(S), dtype=np.int64), S)
+    q = np.arange(len(rows), dtype=np.int64) - np.repeat(np.cumsum(S) - S, S)
+    part = np.asarray(p, dtype=np.int64)[rows]
+    return rows, part, np.minimum(part, q), np.maximum(part, q)
+
+
 def _left_runs(rows_a: np.ndarray):
     """Group pair ids by their LEFT row: stable argsort + run boundaries.
     Block-triangle pair generation reuses each left row against many

@@ -285,7 +285,7 @@ class TestMegaKeySalting:
 
 class TestHeavyKeyCensus:
     """The mega-key census must give the same heavy map on both merge
-    paths: the C-level driver group_by (under _CENSUS_DRIVER_BUDGET)
+    paths: the C-level driver group_by (up to rayutil.DRIVER_ROWS)
     and the distributed groupby-sum fallback (past it)."""
 
     def _ds(self):
@@ -309,7 +309,7 @@ class TestHeavyKeyCensus:
         from pubmed_and_method_ray import rayutil
 
         driver = asof_mod._heavy_keys(self._ds(), "k", threshold=64, sample_mod=1)
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         dist = asof_mod._heavy_keys(self._ds(), "k", threshold=64, sample_mod=1)
         assert driver == dist
         assert set(driver) == {0, 7}
@@ -330,7 +330,7 @@ class TestHeavyKeyCensus:
         from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.stages.asof import _heavy_keys
 
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         blocks = [{"k": [0] * 50 + [b]} for b in range(1, 4)]
         ds, runs = counting_ds(blocks)
         assert _heavy_keys(ds, "k", threshold=40, sample_mod=1) == {0: 150}
@@ -366,7 +366,7 @@ class TestHeavyKeyCensus:
             )
             .to_pandas().sort_values("lid").reset_index(drop=True)
         )
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         salted = (
             asof_join(
                 rd.from_pandas(ldf), rd.from_pandas(rdf),
@@ -377,3 +377,63 @@ class TestHeavyKeyCensus:
         )
         assert len(base) > 500
         assert base.equals(salted)
+
+
+class TestSidesRunOnce:
+    """The schema, the mega-key census and the exchange read the blocks
+    of one run of each side: every upstream block runs exactly once,
+    unsalted and salted."""
+
+    @staticmethod
+    def _left_blocks():
+        return [
+            {
+                "k": [0] * 50 + [b],
+                "t": [b * 1000 + 10 * i for i in range(51)],
+                "lid": [b * 100 + i for i in range(51)],
+            }
+            for b in range(1, 4)
+        ]
+
+    @pytest.mark.parametrize("salt_threshold", [None, 40])
+    def test_asof_join(self, counting_ds, salt_threshold):
+        right_blocks = [
+            {"k": [0] * 20 + [1, 2, 3], "t": [r * 7 + 5 * i for i in range(23)],
+             "rid": [r * 100 + i for i in range(23)]}
+            for r in range(2)
+        ]
+
+        def run(left, right, thresh):
+            out = asof_join(
+                left, right, key_col="k", ts_col="t", right_cols=["rid"],
+                salt_threshold=thresh,
+            ).to_pandas()
+            return out.sort_values("lid").reset_index(drop=True)
+
+        left, left_runs = counting_ds(self._left_blocks())
+        right, right_runs = counting_ds(right_blocks)
+        got = run(left, right, salt_threshold)
+        want = run(
+            rd.from_arrow([pa.table(b) for b in self._left_blocks()]),
+            rd.from_arrow([pa.table(b) for b in right_blocks]),
+            None,
+        )
+        assert len(want) > 100 and got.equals(want)
+        assert left_runs() == 3 and right_runs() == 2
+
+    @pytest.mark.parametrize("salt_threshold", [None, 40])
+    def test_range_self_join(self, counting_ds, salt_threshold):
+        from pubmed_and_method_ray.stages.asof import range_self_join
+
+        def run(ds, thresh):
+            out = range_self_join(
+                ds, key_col="k", ts_col="t", window=25, emit_cols=["lid"],
+                salt_threshold=thresh,
+            ).to_pandas()
+            return out.sort_values(["lid_a", "lid_b"]).reset_index(drop=True)
+
+        ds, runs = counting_ds(self._left_blocks())
+        got = run(ds, salt_threshold)
+        want = run(rd.from_arrow([pa.table(b) for b in self._left_blocks()]), None)
+        assert len(want) > 100 and got.equals(want)
+        assert runs() == 3

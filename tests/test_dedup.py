@@ -11,6 +11,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from pubmed_and_method_ray import rayutil
 from pubmed_and_method_ray.pipelines import dedup
 
 
@@ -145,7 +146,7 @@ class TestMinhashLsh:
         assert np.array_equal(o3, off[1:4])
         assert np.array_equal(v3[o3[0]:o3[-1]], flat[3:5])
 
-    def test_adversarial_mega_bucket_salted(self, ray_session, tmp_path):
+    def test_adversarial_mega_bucket_salted(self, ray_session, tmp_path, monkeypatch):
         """60 identical docs collapse into ONE bucket per band; n_max=8
         forces triangle salting. All C(60,2) pairs must come out exactly
         once with jaccard 1.0, in bounded per-task work."""
@@ -155,17 +156,18 @@ class TestMinhashLsh:
             for i in range(n)
         ]
         sf = _write_docs(tmp_path, rows)
-        # band_driver_rows=0 forces the exchange path (the driver band
-        # fast path would otherwise bypass salting entirely)
-        got = _got_pairs(
-            dedup.dedup_minhash_lsh(sf, n_max=8, band_driver_rows=0)
-        )
+        # LSH_BAND_DRIVER_ROWS = 0 forces the exchange path (the driver
+        # band fast path would otherwise bypass salting entirely)
+        monkeypatch.setattr(rayutil, "LSH_BAND_DRIVER_ROWS", 0)
+        got = _got_pairs(dedup.dedup_minhash_lsh(sf, n_max=8))
         want = sorted(
             (i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)
         )
         assert got == want
 
-    def test_mixed_corpus_unsalted_vs_salted_identical(self, ray_session, tmp_path):
+    def test_mixed_corpus_unsalted_vs_salted_identical(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         """Salting is a pure execution strategy: results must be
         byte-identical with and without forced bucket splitting."""
         rng = np.random.default_rng(23)
@@ -186,13 +188,14 @@ class TestMinhashLsh:
             )
         sf = _write_docs(tmp_path, rows)
         a = _got_pairs(dedup.dedup_minhash_lsh(sf))
-        b = _got_pairs(
-            dedup.dedup_minhash_lsh(sf, n_max=2, band_driver_rows=0)
-        )
+        monkeypatch.setattr(rayutil, "LSH_BAND_DRIVER_ROWS", 0)
+        b = _got_pairs(dedup.dedup_minhash_lsh(sf, n_max=2))
         assert a == b
         assert len(a) > 0
 
-    def test_driver_band_path_matches_exchange_path(self, ray_session, tmp_path):
+    def test_driver_band_path_matches_exchange_path(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         """The driver band fast path (one driver sort instead of the band
         exchange) is a pure execution strategy: identical output to
         the forced exchange construction, including the over-pair-budget
@@ -208,12 +211,15 @@ class TestMinhashLsh:
                 rows.append({"doc_id": len(rows) + 1, "text": " ".join(toks)})
         sf = _write_docs(tmp_path, rows)
         a = _got_pairs(dedup.dedup_minhash_lsh(sf))  # driver band path
-        b = _got_pairs(dedup.dedup_minhash_lsh(sf, band_driver_rows=0))
+        with monkeypatch.context() as m:
+            m.setattr(rayutil, "LSH_BAND_DRIVER_ROWS", 0)
+            b = _got_pairs(dedup.dedup_minhash_lsh(sf))
         assert a == b
         assert len(a) > 0
         # tiny pair budget: small band table but est_pairs over budget
         # falls through to the exchange construction — same rows again
-        c = _got_pairs(dedup.dedup_minhash_lsh(sf, driver_max_pairs=0))
+        monkeypatch.setattr(rayutil, "LSH_DRIVER_PAIRS", 0)
+        c = _got_pairs(dedup.dedup_minhash_lsh(sf))
         assert c == a
 
 
@@ -228,7 +234,9 @@ class TestCanonicalDocs:
         )
         return _write_docs(tmp_path, rows), rows
 
-    def test_driver_and_distributed_paths_agree(self, ray_session, tmp_path):
+    def test_driver_and_distributed_paths_agree(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         sf, rows = self._corpus(tmp_path)
         drv = (
             dedup.dedup_canonical_docs(sf)
@@ -236,9 +244,10 @@ class TestCanonicalDocs:
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
-        # driver_max_edges=0 forces the distributed label-propagation path
+        # DRIVER_EDGES = 0 forces the distributed label-propagation path
+        monkeypatch.setattr(rayutil, "DRIVER_EDGES", 0)
         dist = (
-            dedup.dedup_canonical_docs(sf, driver_max_edges=0)
+            dedup.dedup_canonical_docs(sf)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -282,7 +291,9 @@ def _window_rows(ds):
 
 
 class TestTaskExchanges:
-    def test_shared_window_and_lsh_start_no_actors(self, ray_session, tmp_path):
+    def test_shared_window_and_lsh_start_no_actors(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         """Both dedup_docs operators run on plain tasks: no Ray actor
         (shuffle aggregator, actor-pool worker) is created."""
         import ray._private.state as ray_state
@@ -295,10 +306,13 @@ class TestTaskExchanges:
         want = _got_pairs(dedup.dedup_minhash_lsh(sf))
         assert len(want) > 0
         # over the candidate budget: the two-round task verify
-        assert _got_pairs(dedup.dedup_minhash_lsh(sf, driver_max_pairs=0)) == want
+        monkeypatch.setattr(rayutil, "LSH_DRIVER_PAIRS", 0)
+        assert _got_pairs(dedup.dedup_minhash_lsh(sf)) == want
         assert set(ray_state.actors()) - before == set()
 
-    def test_distributed_canonical_docs_start_no_actors(self, ray_session, tmp_path):
+    def test_distributed_canonical_docs_start_no_actors(
+        self, ray_session, tmp_path, monkeypatch
+    ):
         """Past its edge budget, canonical dedup runs connected
         components on plain tasks too."""
         import ray._private.state as ray_state
@@ -311,14 +325,15 @@ class TestTaskExchanges:
         want = rows(dedup.dedup_canonical_docs(sf))
         rd.range(4).materialize()  # Ray Data's own per-session actors
         before = set(ray_state.actors())
-        assert rows(dedup.dedup_canonical_docs(sf, driver_max_edges=0)) == want
+        monkeypatch.setattr(rayutil, "DRIVER_EDGES", 0)
+        assert rows(dedup.dedup_canonical_docs(sf)) == want
         assert set(ray_state.actors()) - before == set()
         assert len(want) == 21 and sum(r[2] for r in want) < 21
 
     def test_over_budget_verify_forms_candidates_once(
         self, ray_session, tmp_path, monkeypatch
     ):
-        """Past ``driver_max_pairs`` the task verify gets the candidate
+        """Past ``rayutil.LSH_DRIVER_PAIRS`` the task verify gets the candidate
         blocks the budget pass already made: the band pairing runs once
         per partition, not once more for the verify."""
         calls = tmp_path / "calls"
@@ -336,7 +351,9 @@ class TestTaskExchanges:
         monkeypatch.setattr(dedup, "_direct_bucket_pairs", counting)
         monkeypatch.setattr(dedup, "shuffle_partitions", lambda *a, **k: 2)
         monkeypatch.setattr(dedup, "sized_partitions", lambda *a, **k: 2)
-        got = dedup.dedup_minhash_lsh(sf, band_driver_rows=0, driver_max_pairs=0)
+        monkeypatch.setattr(rayutil, "LSH_BAND_DRIVER_ROWS", 0)
+        monkeypatch.setattr(rayutil, "LSH_DRIVER_PAIRS", 0)
+        got = dedup.dedup_minhash_lsh(sf)
         assert _got_pairs(got) == want and len(want) > 0
         assert len(list(calls.iterdir())) == 2
 
@@ -355,9 +372,9 @@ class TestTaskExchanges:
         monkeypatch.setattr(dedup, "shuffle_partitions", lambda *a, **k: n)
         monkeypatch.setattr(dedup, "sized_partitions", lambda *a, **k: n)
         assert _window_rows(dedup.dedup_shared_window(sf)) == want_sw
-        got = dedup.dedup_minhash_lsh(
-            sf, n_max=2, band_driver_rows=0, driver_max_pairs=0
-        )
+        monkeypatch.setattr(rayutil, "LSH_BAND_DRIVER_ROWS", 0)
+        monkeypatch.setattr(rayutil, "LSH_DRIVER_PAIRS", 0)
+        got = dedup.dedup_minhash_lsh(sf, n_max=2)
         assert _got_pairs(got) == want_lsh
 
 

@@ -497,9 +497,10 @@ class TestSizedGroupbyAgg:
 
 class TestDocKeywordsPaths:
     """doc_keywords' broadcast-DF small path and join-based distributed
-    fallback (forced via small_budget_bytes=0) must be row-identical."""
+    fallback (forced via rayutil.DRIVER_BYTES = 0) must be row-identical."""
 
-    def test_forced_paths_identical(self, ray_session):
+    def test_forced_paths_identical(self, ray_session, monkeypatch):
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.pipelines.text_analysis import doc_keywords
 
         sf = "/root/testdata/sf0.001"
@@ -509,8 +510,9 @@ class TestDocKeywordsPaths:
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
+        monkeypatch.setattr(rayutil, "DRIVER_BYTES", 0)
         b = (
-            doc_keywords(sf, small_budget_bytes=0)
+            doc_keywords(sf)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -639,7 +641,7 @@ class TestHeavyKeyCensus:
             return k.to_pylist(), n.tolist()
 
         auto = census()
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         assert census() == auto
         assert auto == (sorted(want), [want[k] for k in sorted(want)])
         assert bool(want) == bool(keys)
@@ -862,3 +864,34 @@ class TestRepetitionMetrics:
         d, top = _segment_distinct_top(vals, offs)
         assert d.tolist() == [0, 1, 0, 1]
         assert top.tolist() == [0, 2, 0, 1]
+
+
+class TestDriverBudgetTable:
+    """Every driver-or-exchange limit lives in rayutil's budget table:
+    no other package file spells a budget value, and no package
+    function takes a budget parameter (a test or a soak forces a path
+    by setting the rayutil constant)."""
+
+    def test_budgets_live_in_rayutil(self):
+        import ast
+        import pathlib
+        import re
+
+        import pubmed_and_method_ray as pkg
+
+        values = ("32 << 20", "5_000_000", "2_000_000", "250_000", "4_000_000")
+        param = re.compile(r"budget|^driver_max_|^broadcast_max_|^band_driver_rows$")
+        files = sorted(pathlib.Path(pkg.__file__).parent.rglob("*.py"))
+        assert any(f.name == "rayutil.py" for f in files)
+        for path in files:
+            src = path.read_text()
+            if path.name != "rayutil.py":
+                assert [v for v in values if v in src] == [], path
+            funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            for node in ast.walk(ast.parse(src)):
+                if not isinstance(node, funcs):
+                    continue
+                a = node.args
+                args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                bad = [x.arg for x in args if x is not None and param.search(x.arg)]
+                assert bad == [], (path, getattr(node, "name", "<lambda>"))

@@ -150,12 +150,15 @@ class TestExternalIdBaseline:
         # hard negatives exist: within-host cross-entity pairs dominate
         assert row.tn > row.tp
 
-    def test_driver_vs_distributed_paths_identical(self):
+    def test_driver_vs_distributed_paths_identical(self, monkeypatch):
         """The count-algebra confusion (C(m,2) sums over triple counts)
-        must produce identical exact integers on the driver-merge and
-        forced-distributed (host-keyed exchange) paths."""
+        must produce identical exact integers on the forced driver-merge
+        and forced-distributed (host-keyed exchange) paths."""
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.pipelines.analysis import external_id_baseline
 
-        a = external_id_baseline("/root/testdata/sf0.001", driver=True)
-        b = external_id_baseline("/root/testdata/sf0.001", driver=False)
+        monkeypatch.setattr(rayutil, "DRIVER_BYTES", 1 << 62)
+        a = external_id_baseline("/root/testdata/sf0.001")
+        monkeypatch.setattr(rayutil, "DRIVER_BYTES", 0)
+        b = external_id_baseline("/root/testdata/sf0.001")
         assert a.equals(b)

@@ -331,7 +331,7 @@ class TestSkewCensus:
 
         ds = rd.from_arrow(mentions)
         k_drv, n_drv = skew_table_fast(ds, n_max=8, sample_mod=1)
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         k_dst, n_dst = skew_table_fast(ds, n_max=8, sample_mod=1)
         assert k_drv.dtype == k_dst.dtype == np.uint64
         assert (k_drv == k_dst).all()
@@ -346,7 +346,7 @@ class TestSkewCensus:
 
         ds = _checkpoint_read_back(mentions, str(tmp_path / "mentions"))
         k_auto, n_auto = blocking.skew_table_fast(ds, n_max=8)
-        monkeypatch.setattr(rayutil, "_CENSUS_DRIVER_BUDGET", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
         k_dst, n_dst = blocking.skew_table_fast(ds, n_max=8)
         assert len(k_auto) > 0
         assert (k_dst == k_auto).all() and (n_dst == n_auto).all()

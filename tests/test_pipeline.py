@@ -14,6 +14,7 @@ from pubmed_and_method_ray.functions.splits import (
     grouped_folds,
     split_group_column,
 )
+from pubmed_and_method_ray import rayutil
 from pubmed_and_method_ray.pipelines import er
 from pubmed_and_method_ray.pipelines.er import run_er_pipeline
 from pubmed_and_method_ray.sources import checkpoint as ckpt
@@ -448,7 +449,7 @@ class TestWriteTaskCounters:
             return real(ds, keys, *a, **kw)
 
         monkeypatch.setattr(er, "sized_groupby_agg", counting)
-        monkeypatch.setattr(er, "_DISTINCT_BUDGET_BYTES", 0)
+        monkeypatch.setattr(rayutil, "DRIVER_BYTES", 0)
         workdir = str(tmp_path_factory.mktemp("ckpt_overflow"))
         run_er_pipeline(
             pages, n_max=256, workdir=workdir, model_json=result["model_json"],
@@ -470,7 +471,7 @@ class TestWriteTaskCounters:
             for b in range(8)
         ]
         per_task = pc.unique(blocks[0]["host"]).nbytes
-        monkeypatch.setattr(er, "_DISTINCT_BUDGET_BYTES", 3 * per_task)
+        monkeypatch.setattr(rayutil, "DRIVER_BYTES", 3 * per_task)
         partial, merge = er._stage_counters("mentions", 0.5)
         seen = []
 
@@ -933,15 +934,16 @@ class TestConnectedComponents:
         assert _labels(out) == {"a": "a", "b": "a", "c": "a"}
         assert runs() == 1
 
-    def test_auto_over_budget_runs_edges_once(self, counting_ds):
-        """``auto`` past ``driver_max_edges`` hands the blocks it counted
-        to the distributed path: the lazy edge upstream runs once, not
-        once to count and again to cluster."""
+    def test_auto_over_budget_runs_edges_once(self, counting_ds, monkeypatch):
+        """``auto`` past ``rayutil.DRIVER_EDGES`` hands the blocks it
+        counted to the distributed path: the lazy edge upstream runs
+        once, not once to count and again to cluster."""
         from pubmed_and_method_ray.stages.cluster import assign_clusters
 
         edges, runs = counting_ds({"url_1": ["a", "b", "d"], "url_2": ["b", "c", "e"]})
         nodes = _nodes_ds(["a", "b", "c", "d", "e", "f"])
-        out = assign_clusters(nodes, edges, method="auto", driver_max_edges=1)
+        monkeypatch.setattr(rayutil, "DRIVER_EDGES", 1)
+        out = assign_clusters(nodes, edges, method="auto")
         want = {"a": "a", "b": "a", "c": "a", "d": "d", "e": "d", "f": "f"}
         assert _labels(out) == want
         assert runs() == 1

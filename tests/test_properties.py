@@ -339,6 +339,29 @@ class TestVectorizedPairKernels:
         i, j = run_pairs([5], [700])
         assert np.array_equal(i, iu + 5) and np.array_equal(j, ju + 5)
 
+    @given(
+        st.lists(  # (S, p) per row, 0 <= p < S
+            st.integers(1, 6).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s - 1))),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_triangle_salt_matches_loop(self, rows):
+        # the per-row loop the salting sites ran before: row-major, q
+        # inner; each pair of rows then meets in exactly one group
+        from pubmed_and_method_ray.stages.features import triangle_salt
+
+        S = np.array([s for s, _ in rows], dtype=np.int64)
+        p = np.array([x for _, x in rows], dtype=np.int64)
+        want = [
+            (r, int(p[r]), min(int(p[r]), q), max(int(p[r]), q))
+            for r in range(len(S))
+            for q in range(S[r])
+        ]
+        got = triangle_salt(S, p)
+        assert all(a.dtype == np.int64 for a in got)
+        assert list(zip(*(a.tolist() for a in got))) == want
+
     def test_gather_on_sliced_list_array(self):
         import pyarrow as pa
 

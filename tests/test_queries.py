@@ -116,33 +116,32 @@ class TestEntry:
 
 class TestBroadcastSizeGuards:
     """The customer-scale broadcasts fall back to hash joins past
-    broadcast_max_rows; both paths must agree exactly (the guard is an
+    rayutil.DRIVER_ROWS; both paths must agree exactly (the guard is an
     execution strategy, not a semantic switch)."""
 
-    def test_revenue_by_nation_join_path(self):
+    def test_revenue_by_nation_join_path(self, monkeypatch):
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.pipelines import relational
 
         bc = _canon(_to_pandas(relational.revenue_by_nation(SF)))
-        jn = _canon(
-            _to_pandas(relational.revenue_by_nation(SF, broadcast_max_rows=0))
-        )
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
+        jn = _canon(_to_pandas(relational.revenue_by_nation(SF)))
         pd.testing.assert_frame_equal(bc, jn)
 
-    def test_semi_join_orders_join_path(self):
+    def test_semi_join_orders_join_path(self, monkeypatch):
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.pipelines import relational
 
         bc = _canon(_to_pandas(relational.semi_join_orders(SF)))
-        jn = _canon(
-            _to_pandas(relational.semi_join_orders(SF, broadcast_max_rows=0))
-        )
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", 0)
+        jn = _canon(_to_pandas(relational.semi_join_orders(SF)))
         pd.testing.assert_frame_equal(bc, jn)
 
-    @pytest.mark.parametrize("broadcast_max_rows", [5_000_000, 0])
-    def test_semi_join_orders_filters_once(
-        self, broadcast_max_rows, tmp_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("driver_rows", [5_000_000, 0])
+    def test_semi_join_orders_filters_once(self, driver_rows, tmp_path, monkeypatch):
         """Both paths read the segment filter's blocks from ONE pass: it
         runs as often as in a single materialize of the filter alone."""
+        from pubmed_and_method_ray import rayutil
         from pubmed_and_method_ray.pipelines import relational
 
         calls = tmp_path / "calls"
@@ -162,7 +161,8 @@ class TestBroadcastSizeGuards:
         ).materialize()
         one_pass = len(list(calls.iterdir()))
         assert one_pass > 0
-        out = relational.semi_join_orders(SF, broadcast_max_rows=broadcast_max_rows)
+        monkeypatch.setattr(rayutil, "DRIVER_ROWS", driver_rows)
+        out = relational.semi_join_orders(SF)
         assert len(_to_pandas(out)) > 0
         assert len(list(calls.iterdir())) == 2 * one_pass
 

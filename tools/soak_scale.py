@@ -9,17 +9,20 @@ and asserts they agree with the driver paths on the same input:
    cc_method='distributed' FORCED — the sorted (url, cluster_id)
    assignments must equal the auto/driver-path run's on the identical
    corpus;
-2. MinHash-LSH with driver_max_pairs=0 (forces the two-round task
-   verify: the candidate pairs split by doc_id1, deduped and given
-   doc_id1's sketch, then by doc_id2 and checked against its sketch,
-   ``dedup._verify_pairs_exchange``) — row-identical to the
-   driver-verify run;
-3. canonical-docs with driver_max_edges=0 (forces ``assign_clusters``'
-   distributed min-label CC) — row-identical to its driver-path run;
-4. flagship ER again with the heavy-key census budget
-   (``rayutil._CENSUS_DRIVER_BUDGET``) at 0, so the skew census merges in
-   its keyed exchange — the sorted (url, cluster_id) assignments must
-   equal the auto run's.
+2. MinHash-LSH with ``rayutil.LSH_DRIVER_PAIRS`` at 0 (forces the
+   two-round task verify: the candidate pairs split by doc_id1,
+   deduped and given doc_id1's sketch, then by doc_id2 and checked
+   against its sketch, ``dedup._verify_pairs_exchange``) —
+   row-identical to the driver-verify run;
+3. canonical-docs with ``rayutil.DRIVER_EDGES`` at 0 (forces
+   ``assign_clusters``' distributed min-label CC) — row-identical to its
+   driver-path run;
+4. flagship ER again with ``rayutil.DRIVER_ROWS`` at 0, so the heavy-key
+   census merges in its keyed exchange — the sorted (url, cluster_id)
+   assignments must equal the auto run's.
+
+Legs 2-4 force a guard with ``_forced``, which sets one of rayutil's
+driver budgets for the leg and restores it after.
 
 Usage: python tools/soak_scale.py  (env: GRAFT_SF_DIR, RAY_GRAFT_CPUS,
 GRAFT_SOAK_REPEAT). Prints one JSON line; record in BASELINE.md.
@@ -31,12 +34,27 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 REPEAT = int(os.environ.get("GRAFT_SOAK_REPEAT", "160"))
+
+
+@contextmanager
+def _forced(name: str, value: int):
+    """``rayutil.<name>`` (a driver budget) set to ``value`` inside the
+    block, restored after it."""
+    from pubmed_and_method_ray import rayutil
+
+    old = getattr(rayutil, name)
+    setattr(rayutil, name, value)
+    try:
+        yield
+    finally:
+        setattr(rayutil, name, old)
 
 
 def main() -> None:
@@ -104,18 +122,13 @@ def main() -> None:
     assert len(er_auto) == n_pages, (len(er_auto), n_pages)
     assert er_dist.equals(er_auto), "ER cluster assignments disagree"
 
-    from pubmed_and_method_ray import rayutil
-
-    budget = rayutil._CENSUS_DRIVER_BUDGET
-    rayutil._CENSUS_DRIVER_BUDGET = 0
-    try:
+    with _forced("DRIVER_ROWS", 0):
         er_census = er_run("auto", "exchange_census")
-    finally:
-        rayutil._CENSUS_DRIVER_BUDGET = budget
     assert er_census.equals(er_auto), "ER census merge paths disagree"
 
     t0 = time.perf_counter()
-    lsh_dist = canon(dedup.dedup_minhash_lsh(SF_DIR, driver_max_pairs=0).to_pandas())
+    with _forced("LSH_DRIVER_PAIRS", 0):
+        lsh_dist = canon(dedup.dedup_minhash_lsh(SF_DIR).to_pandas())
     out["lsh_distributed_verify_sec"] = round(time.perf_counter() - t0, 2)
     t0 = time.perf_counter()
     lsh_drv = canon(dedup.dedup_minhash_lsh(SF_DIR).to_pandas())
@@ -124,7 +137,8 @@ def main() -> None:
     out["lsh_pairs"] = int(len(lsh_drv))
 
     t0 = time.perf_counter()
-    can_dist = canon(dedup.dedup_canonical_docs(SF_DIR, driver_max_edges=0).to_pandas())
+    with _forced("DRIVER_EDGES", 0):
+        can_dist = canon(dedup.dedup_canonical_docs(SF_DIR).to_pandas())
     out["canonical_distributed_cc_sec"] = round(time.perf_counter() - t0, 2)
     t0 = time.perf_counter()
     can_drv = canon(dedup.dedup_canonical_docs(SF_DIR).to_pandas())
