@@ -165,17 +165,16 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
     jaccard — the reference's block pair-gen (and_datasets.sql:44-79)
     fused with its jaccard kernel (string_utils.py:99-109).
 
-    Scale shape: token sets hash ONCE per doc (sorted-unique uint64
-    arrays), pair intersections run on the searchsorted kernels from
+    Scale shape: each batch's token sets come from ``_doc_grams`` with
+    k = 1 (sorted-distinct uint64 token hashes per doc, no per-doc
+    Python), pair intersections run on the searchsorted kernels from
     stages/features.py (no Python sets in the pair loop), and blocks
     larger than ``n_max`` are salted with the exact triangle-join
-    replication from stages/blocking.py so one mega (lang, source)
+    replication (``features.triangle_salt``) so one mega (lang, source)
     block fans out across the cluster instead of pinning one task."""
     import math
 
     import ray
-
-    from ..functions.hashing import hash64_array
 
     ds = _read_documents(sf_dir, columns=["doc_id", "text", "lang", "source"])
 
@@ -200,8 +199,6 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         as SEPARATE (lang, source, sa, sb) exchange-key columns — no
         delimiter-joined group string, so values containing '|' cannot
         collide distinct blocks."""
-        import pyarrow.compute as pc
-
         from ..stages.features import gather_list_rows, triangle_salt
         from ..stages.mention_prep import get_broadcast
 
@@ -209,20 +206,16 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
         langs = t["lang"].to_pylist()
         srcs = t["source"].to_pylist()
-        # Arrow's utf8_lower, as the oracle's lower() ('ΣΑΣ' -> 'σασ')
-        texts = pc.utf8_lower(pc.fill_null(t["text"], "")).to_pylist()
+        # the oracle's distinct(split(lower(text), ' ')) as hashes
+        distinct, ranks, off = _doc_grams(t["text"], 1, 0x7A)
         n = len(ids)
-        toks = [np.unique(hash64_array(x.split(" "), seed=0x7A)) for x in texts]
         S = np.fromiter(
             (max(1, math.ceil(sz[(l, s)] / n_max)) for l, s in zip(langs, srcs)),
             dtype=np.int64,
             count=n,
         )
         out_idx, pe, sa, sb = triangle_salt(S, ids % S)
-        lens = np.fromiter((len(x) for x in toks), dtype=np.int64, count=n)
-        base_off = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-        flat = np.concatenate(toks) if n else np.empty(0, np.uint64)
-        rep_flat, rep_lens = gather_list_rows(base_off, flat, out_idx)
+        rep_flat, rep_lens = gather_list_rows(off, distinct[ranks], out_idx)
         offsets = np.concatenate([[0], np.cumsum(rep_lens)]).astype(np.int64)
         tl = pa.LargeListArray.from_arrays(
             pa.array(offsets, pa.int64()), pa.array(rep_flat, pa.uint64())
@@ -242,9 +235,9 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
 
     def group_pairs(t: pa.Table) -> pa.Table:
         """Pairs of every (lang-code, source-code, sa, sb) salt group
-        (``_salted_group_pairs``), then one vectorized multi-pair
+        (``features.salted_group_pairs``), then one vectorized multi-pair
         jaccard — no per-pair Python."""
-        from ..stages.features import pairwise_jaccard
+        from ..stages.features import pairwise_jaccard, salted_group_pairs
 
         empty = pa.Table.from_pydict(
             {
@@ -271,7 +264,7 @@ def pair_jaccard_docs(sf_dir: str, threshold: float | None = None, n_max: int = 
         off = np.asarray(arr.offsets)
         vals = arr.values.to_numpy(zero_copy_only=False)
 
-        gi, gj = _salted_group_pairs(block_code, sa, sb, part)
+        gi, gj = salted_group_pairs(block_code, sa, sb, part)
         if not len(gi):
             return empty
         jac = pairwise_jaccard(off, vals, gi, off, vals, gj)
@@ -533,47 +526,11 @@ def _overflow_salt_rows(t: pa.Table, n_max: int) -> pa.Table:
     )
 
 
-def _cross_pairs(starts_a, sizes_a, starts_b, sizes_b):
-    """Every (i, j) with i in run ``[starts_a[r], +sizes_a[r])`` and j in
-    run ``[starts_b[r], +sizes_b[r])`` of the same r: each left row
-    pairs with every right row, as ``np.repeat``/``np.tile`` would, for
-    all runs in one expansion."""
-    n_left = int(sizes_a.sum())
-    left = np.repeat(starts_a - (np.cumsum(sizes_a) - sizes_a), sizes_a)
-    left += np.arange(n_left, dtype=np.int64)
-    cnt = np.repeat(sizes_b, sizes_a)
-    first = np.cumsum(cnt) - cnt
-    j = np.arange(int(cnt.sum()), dtype=np.int64)
-    j -= np.repeat(first - np.repeat(starts_b, sizes_a), cnt)
-    return np.repeat(left, cnt), j
-
-
-def _salted_group_pairs(code, sa, sb, part) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (gi, gj) of triangle-salted rows (the replication of
-    stages/blocking.py): rows group by (code, sa, sb); a diagonal group
-    (sa == sb) pairs its rows of part sa among themselves, an
-    off-diagonal group pairs each row of part sa with each row of part
-    sb. One sort by (code, sa, sb, part) makes every (group, part) a
-    run; ``run_pairs`` and ``_cross_pairs`` expand all runs at once."""
-    from ..stages.features import run_pairs
-
-    order = np.lexsort((part, sb, sa, code))
-    c, a, b, p = code[order], sa[order], sb[order], part[order]
-    new_grp = np.r_[True, (c[1:] != c[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-    starts = np.flatnonzero(new_grp | np.r_[True, p[1:] != p[:-1]])
-    sizes = np.diff(np.r_[starts, len(order)]).astype(np.int64)
-    pa_, pb_ = p[starts] == a[starts], p[starts] == b[starts]
-    diag = (a[starts] == b[starts]) & pa_
-    # an off-diagonal group's part-sa run is followed by its part-sb run
-    x = (a[starts[:-1]] != b[starts[:-1]]) & pa_[:-1] & pb_[1:] & ~new_grp[starts[1:]]
-    i1, j1 = run_pairs(starts[diag], sizes[diag])
-    i2, j2 = _cross_pairs(starts[:-1][x], sizes[:-1][x], starts[1:][x], sizes[1:][x])
-    return order[np.concatenate([i1, i2])], order[np.concatenate([j1, j2])]
-
-
 def _salted_segment_pairs(t: pa.Table) -> pa.Table:
     """Pair-gen over salted overflow rows co-located by (band_key, sa,
-    sb) (``_salted_group_pairs``), self-pairs dropped."""
+    sb) (``features.salted_group_pairs``), self-pairs dropped."""
+    from ..stages.features import salted_group_pairs
+
     if t.num_rows == 0:
         return _EMPTY_PAIRS
     t = t.combine_chunks()
@@ -582,7 +539,7 @@ def _salted_segment_pairs(t: pa.Table) -> pa.Table:
     sb = np.asarray(t["sb"].to_numpy(zero_copy_only=False))
     part = np.asarray(t["part"].to_numpy(zero_copy_only=False))
     ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False), dtype=np.int64)
-    gi, gj = _salted_group_pairs(kc, sa, sb, part)
+    gi, gj = salted_group_pairs(kc, sa, sb, part)
     lo = np.minimum(ids[gi], ids[gj])
     hi = np.maximum(ids[gi], ids[gj])
     keep = lo != hi

@@ -373,7 +373,7 @@ def _range_block(
     if salted:
         # diagonal (i,i) groups own within-part pairs; off-diagonal
         # (i,j) groups own cross-part pairs only — exactly-once coverage
-        # (the triangle-join rule of stages/blocking.py)
+        # (the triangle-join rule of features.salted_group_pairs)
         diag = sa[la] == sb[la]
         keep = np.where(diag, True, part[la] != part[ra])
         la, ra = la[keep], ra[keep]
@@ -402,9 +402,9 @@ def range_self_join(
     pair). Same single-exchange shape as asof_join: hash-partition on the
     key, then each block lexsorts (key, ts) and finds every row's match
     range with one searchsorted pair per key run + a vectorized
-    range-repeat expansion (the pair-emission kernel shape of
-    blocking._cross_band_pairs). Output: key, each ``emit_cols`` entry
-    twice (``_a``/``_b``), and ``gap_us``.
+    range-repeat expansion (a window needs each row's match range, not
+    the all-pairs runs of ``features.salted_group_pairs``). Output:
+    key, each ``emit_cols`` entry twice (``_a``/``_b``), and ``gap_us``.
 
     Range joins explode quadratically inside a (key, window) cell by
     definition — callers bound the window. ``salt_threshold`` turns on
@@ -412,9 +412,9 @@ def range_self_join(
     S = ceil(n/threshold) groups (a row with part p replicates to every
     group pair containing p; diagonal groups emit within-part pairs,
     off-diagonal groups cross-part pairs only — the exactly-once rule of
-    stages/blocking.py), and the exchange partitions on (key, sa, sb) so
-    no task holds a whole hot key. Off by default: it adds a census pass
-    and S-way replication of hot-key rows."""
+    ``features.salted_group_pairs``), and the exchange partitions on
+    (key, sa, sb) so no task holds a whole hot key. Off by default: it
+    adds a census pass and S-way replication of hot-key rows."""
     ds, types = _run_once(ds)
     fields = [(key_col, types[key_col])]
     for c in emit_cols:

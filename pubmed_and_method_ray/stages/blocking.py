@@ -22,17 +22,18 @@ Design notes (scale):
   salt — the classic triangle-join replication. Group (i,i) emits
   within-pairs, (i,j) cross-pairs only, so every band-agreeing pair is
   generated exactly once.
-- Within a segment, candidates come from per-band local value grouping
-  (argsort + run boundaries, cached triu for within, vectorized
-  range-repeat for cross-side matches). Cross-band dedup: a pair is
-  emitted only at the SMALLEST band index on which the two mentions
-  agree (both band vectors are local). Canonical (url1 < url2) ordering
-  mirrors the reference's ``arraySort([id1,id2])`` rule
-  (database/and_datasets.sql:62-68).
+- A bucket forms its candidates with one ``features.salted_group_pairs``
+  call per band over all its hosts at once: rows group by (host, band
+  value, sa, sb), and that kernel applies the triangle rule above.
+  Cross-band dedup: a pair is emitted only at the SMALLEST band index on
+  which the two mentions agree (both band vectors are local). Canonical
+  (url1 < url2) ordering mirrors the reference's ``arraySort([id1,id2])``
+  rule (database/and_datasets.sql:62-68).
 - The ambiguity feature uses the HOST block size (the commonness analog
   of database/pubmed_inner_outer_feature.sql:201-203 — host commonness
   == the reference's ns commonness), carried as ``n_true`` for salted
-  hosts and the local segment size otherwise — no extra join.
+  hosts and the host's row count in the bucket otherwise — no extra
+  join.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import pyarrow as pa
 from ..functions.hashing import fnv64_arrow, splitmix64, stable_hash64
 from ..rayutil import heavy_key_census, lpt_buckets
 from ..functions.simhash import DEFAULT_BANDS as N_BANDS
-from .features import run_pairs, triangle_salt
+from .features import salted_group_pairs, triangle_salt
 
 
 
@@ -299,68 +300,15 @@ def _dedup_earlier_bands(x: np.ndarray, y: np.ndarray, bands: np.ndarray, b_i: i
     return x[keep], y[keep]
 
 
-def _within_band_pairs(rows: np.ndarray, bands: np.ndarray):
-    """All band-agreeing pairs among ``rows`` (global indices), each pair
-    exactly once (first agreeing band): per band, argsort values, run
-    boundaries, then ``run_pairs`` over every value group of size >= 2."""
-    nb = bands.shape[1]
-    lefts, rights = [], []
-    for b_i in range(nb):
-        v = bands[rows, b_i]
-        o = np.argsort(v, kind="stable")
-        sv = v[o]
-        starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
-        sizes = np.diff(np.append(starts, len(sv)))
-        pick = sizes >= 2
-        ai, bi = run_pairs(starts[pick], sizes[pick])
-        x, y = _dedup_earlier_bands(rows[o[ai]], rows[o[bi]], bands, b_i)
-        if len(x):
-            lefts.append(x)
-            rights.append(y)
-    return lefts, rights
-
-
-def _cross_band_pairs(A: np.ndarray, B: np.ndarray, bands: np.ndarray):
-    """All band-agreeing (a in A) x (b in B) pairs, each exactly once:
-    per band, match B rows into A's sorted value runs and expand with a
-    vectorized range-repeat."""
-    nb = bands.shape[1]
-    lefts, rights = [], []
-    for b_i in range(nb):
-        va = bands[A, b_i]
-        oa = np.argsort(va, kind="stable")
-        sva = va[oa]
-        ch = np.nonzero(sva[1:] != sva[:-1])[0] + 1
-        starts = np.concatenate([[0], ch])
-        counts = np.diff(np.concatenate([starts, [len(sva)]]))
-        uvals = sva[starts]
-        vb = bands[B, b_i]
-        pos = np.searchsorted(uvals, vb)
-        pos_c = np.minimum(pos, max(len(uvals) - 1, 0))
-        hit = (uvals[pos_c] == vb) if len(uvals) else np.zeros(len(vb), bool)
-        reps = np.where(hit, counts[pos_c], 0)
-        total = int(reps.sum())
-        if total == 0:
-            continue
-        b_rep = np.repeat(B, reps)
-        cum = np.cumsum(reps) - reps
-        offs = np.arange(total) - np.repeat(cum, reps)
-        a_pos = np.repeat(starts[pos_c], reps) + offs
-        x = A[oa[a_pos]]
-        y = b_rep
-        x, y = _dedup_earlier_bands(x, y, bands, b_i)
-        if len(x):
-            lefts.append(x)
-            rights.append(y)
-    return lefts, rights
-
-
-def _bucket_pair_indices(group: pa.Table, n_max: int):
-    """(left_idx, right_idx, block_sizes) for ALL host/salt segments in
-    one bucket table (already combined into contiguous chunks). Segments
-    are found by a numeric lexsort over (host_h, sa, sb); banding runs
-    locally per segment. block_size = HOST size (the commonness/
-    ambiguity analog)."""
+def _bucket_pair_indices(group: pa.Table):
+    """(left_idx, right_idx, block_sizes) for every band-agreeing pair of
+    one bucket table (already combined into contiguous chunks), each
+    pair once: per band, one ``features.salted_group_pairs`` call groups
+    the rows by (host rank, band value) with the (sa, sb, salt) triangle
+    columns, and ``_dedup_earlier_bands`` keeps a pair only at its first
+    agreeing band. block_size = HOST size (the commonness/ambiguity
+    analog): ``n_true`` for a salted host, else the host's row count in
+    the bucket (an unsalted host is one sa = sb = 0 segment)."""
     host_h = np.asarray(group["host_h"].to_numpy(zero_copy_only=False), dtype=np.uint64)
     sa = np.asarray(group["sa"].to_numpy(zero_copy_only=False))
     sb = np.asarray(group["sb"].to_numpy(zero_copy_only=False))
@@ -368,43 +316,22 @@ def _bucket_pair_indices(group: pa.Table, n_max: int):
     n_true = np.asarray(group["n_true"].to_numpy(zero_copy_only=False))
     urls = np.asarray(group["url"].to_pylist(), dtype=object)
     bands = _bands_matrix(group)
+    _, host_rank = np.unique(host_h, return_inverse=True)
 
-    order = np.lexsort((sb, sa, host_h))
-    h_s, a_s, b_s = host_h[order], sa[order], sb[order]
-    change = np.nonzero(
-        (h_s[1:] != h_s[:-1]) | (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-    )[0] + 1
-    bounds = np.concatenate([[0], change, [len(order)]])
-
-    lefts, rights, sizes = [], [], []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        seg = order[s0:s1]
-        first = seg[0]
-        a_id, b_id = int(sa[first]), int(sb[first])
-        bsize = int(n_true[first]) if n_true[first] > 0 else len(seg)
-        if a_id == b_id:
-            ls, rs = _within_band_pairs(seg, bands)
-        else:
-            sides = salt[seg]
-            ls, rs = _cross_band_pairs(
-                seg[sides == a_id], seg[sides == b_id], bands
-            )
-        for x, y in zip(ls, rs):
-            lefts.append(x)
-            rights.append(y)
-            sizes.append(np.full(len(x), bsize, dtype=np.int64))
-    if not lefts:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z
+    lefts, rights = [], []
+    for b_i in range(bands.shape[1]):
+        v = bands[:, b_i].astype(np.int64)
+        code = host_rank * (int(v.max(initial=0)) + 1) + v
+        x, y = salted_group_pairs(code, sa, sb, salt)
+        x, y = _dedup_earlier_bands(x, y, bands, b_i)
+        lefts.append(x)
+        rights.append(y)
     li = np.concatenate(lefts)
     ri = np.concatenate(rights)
+    sizes = np.where(n_true > 0, n_true, np.bincount(host_rank)[host_rank])[li]
     # canonical (url1 < url2) ordering
     flip = urls[li] > urls[ri]
-    return (
-        np.where(flip, ri, li),
-        np.where(flip, li, ri),
-        np.concatenate(sizes),
-    )
+    return np.where(flip, ri, li), np.where(flip, li, ri), sizes
 
 
 def make_pairs_bucket(group: pa.Table, n_max: int = 512, keep_gold: bool = True) -> pa.Table:
@@ -415,7 +342,7 @@ def make_pairs_bucket(group: pa.Table, n_max: int = 512, keep_gold: bool = True)
     # a caller's table may arrive in many chunks; contiguous memory
     # first, or every take() below pays per-chunk overhead
     group = group.combine_chunks()
-    left_idx, right_idx, sizes = _bucket_pair_indices(group, n_max)
+    left_idx, right_idx, sizes = _bucket_pair_indices(group)
 
     with_label = keep_gold and "entity_id" in group.column_names
     if not len(left_idx):
@@ -465,7 +392,7 @@ def make_features_bucket(
     from .features import append_scores, empty_features, features_from_indices, model_from_ref
 
     group = group.combine_chunks()
-    left_idx, right_idx, sizes = _bucket_pair_indices(group, n_max)
+    left_idx, right_idx, sizes = _bucket_pair_indices(group)
     if prune_hamming is not None and len(left_idx):
         sh = np.asarray(
             group["simhash"].to_numpy(zero_copy_only=False), dtype=np.uint64

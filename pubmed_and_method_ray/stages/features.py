@@ -158,6 +158,58 @@ def triangle_salt(S: np.ndarray, p: np.ndarray):
     return rows, part, np.minimum(part, q), np.maximum(part, q)
 
 
+def cross_pairs(starts_a, sizes_a, starts_b, sizes_b):
+    """Every (i, j) with i in run ``[starts_a[r], +sizes_a[r])`` and j in
+    run ``[starts_b[r], +sizes_b[r])`` of the same r: each left row
+    pairs with every right row, as ``np.repeat``/``np.tile`` would, for
+    all runs in one expansion."""
+    n_left = int(sizes_a.sum())
+    left = np.repeat(starts_a - (np.cumsum(sizes_a) - sizes_a), sizes_a)
+    left += np.arange(n_left, dtype=np.int64)
+    cnt = np.repeat(sizes_b, sizes_a)
+    first = np.cumsum(cnt) - cnt
+    j = np.arange(int(cnt.sum()), dtype=np.int64)
+    j -= np.repeat(first - np.repeat(starts_b, sizes_a), cnt)
+    return np.repeat(left, cnt), j
+
+
+def salted_group_pairs(code, sa, sb, part) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (gi, gj) of triangle-salted rows (``triangle_salt``):
+    rows group by (code, sa, sb); a diagonal group (sa == sb) pairs its
+    rows among themselves, an off-diagonal group pairs each row of part
+    sa with each row of part sb, so two rows that share a code meet
+    exactly once. ``code`` is a non-negative int group code, sa <= sb,
+    and every row's part is its sa or its sb.
+
+    One argsort of a packed int64 key (code, sa, sb, side), side = part
+    != sa, makes every (group, side) a run, an off-diagonal group's
+    side-sa run just before its side-sb run; ``run_pairs`` and
+    ``cross_pairs`` expand all runs at once. Raises ValueError when the
+    key would not fit 63 bits."""
+    code = np.asarray(code, dtype=np.int64)
+    sa = np.asarray(sa, dtype=np.int64)
+    sb = np.asarray(sb, dtype=np.int64)
+    if not len(code):
+        z = np.empty(0, dtype=np.int64)
+        return z, z
+    n_code, n_s = int(code.max()) + 1, int(sb.max()) + 1
+    if n_code * n_s * n_s * 2 > 1 << 63:
+        raise ValueError(
+            f"salted group key does not fit 63 bits: {n_code} codes, {n_s} salts"
+        )
+    key = ((code * n_s + sa) * n_s + sb) * 2 + (np.asarray(part) != sa)
+    order = np.argsort(key)
+    k = key[order]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    sizes = np.diff(np.r_[starts, len(k)])
+    grp, side = k[starts] >> 1, k[starts] & 1
+    diag = (grp // n_s) % n_s == grp % n_s
+    x = (grp[:-1] == grp[1:]) & (side[:-1] == 0) & (side[1:] == 1)
+    i1, j1 = run_pairs(starts[diag], sizes[diag])
+    i2, j2 = cross_pairs(starts[:-1][x], sizes[:-1][x], starts[1:][x], sizes[1:][x])
+    return order[np.concatenate([i1, i2])], order[np.concatenate([j1, j2])]
+
+
 def _left_runs(rows_a: np.ndarray):
     """Group pair ids by their LEFT row: stable argsort + run boundaries.
     Block-triangle pair generation reuses each left row against many

@@ -84,6 +84,31 @@ class TestPairGeneration:
         for u1, u2, lab in zip(t["url_1"], t["url_2"], t["label"]):
             assert lab == (1 if ent[u1] == ent[u2] else 0)
 
+    def test_block_size_is_host_size(self, mentions):
+        """block_size (the trained path's ``ambiguity`` = log1p of it) is
+        the pair's host mention count: exact for every unsalted host, the
+        census count for a host the census salts."""
+        from pubmed_and_method_ray.stages import blocking
+
+        hh = blocking._host_hashes(mentions)
+        host_of = dict(zip(mentions["url"].to_pylist(), hh.tolist()))
+        keys, n_hosts = np.unique(hh, return_counts=True)
+        exact = dict(zip(keys.tolist(), n_hosts.tolist()))
+        ds = rd.from_arrow(mentions)
+        census_k, census_n = blocking.skew_table_fast(ds, 8)
+        salted = {
+            k: n for k, n in zip(census_k.tolist(), census_n.tolist()) if n > 8
+        }
+        assert salted  # n_max=8 salts the fixture's hosts
+        for n_max, census in ((100_000, {}), (8, salted)):
+            t = generate_pairs(ds, n_max=n_max, keep_gold=True).select_columns(
+                ["url_1", "block_size"]
+            ).to_pandas()
+            assert len(t)
+            for u, size in zip(t["url_1"], t["block_size"]):
+                h = host_of[u]
+                assert size == census.get(h, exact[h])
+
     def test_gold_entities_connected_by_blocking(self, mentions):
         """Blocking recall on planted clusters: transitive clustering only
         needs every entity's pages to form ONE connected component in the

@@ -362,6 +362,50 @@ class TestVectorizedPairKernels:
         assert all(a.dtype == np.int64 for a in got)
         assert list(zip(*(a.tolist() for a in got))) == want
 
+    @given(
+        st.lists(  # (rows, S) per code
+            st.tuples(st.integers(0, 8), st.integers(1, 5)), max_size=12
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_salted_group_pairs_pairs_each_code_once(self, codes, data):
+        # rows replicated by triangle_salt, in any order: every pair of
+        # distinct original rows that share a code comes back exactly
+        # once, and no other pair does
+        from pubmed_and_method_ray.stages.features import salted_group_pairs, triangle_salt
+
+        code_of = np.repeat(np.arange(len(codes)), [n for n, _ in codes]).astype(np.int64)
+        S = np.repeat([s for _, s in codes], [n for n, _ in codes]).astype(np.int64)
+        p = np.array(
+            [data.draw(st.integers(0, s - 1)) for s in S.tolist()], dtype=np.int64
+        )
+        rows, part, sa, sb = triangle_salt(S, p)
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(rows))
+        rows, part, sa, sb = rows[perm], part[perm], sa[perm], sb[perm]
+        gi, gj = salted_group_pairs(code_of[rows], sa, sb, part)
+        assert gi.dtype == gj.dtype == np.int64
+        a, b = rows[gi], rows[gj]
+        got = sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        want = [
+            (i, j)
+            for i in range(len(code_of))
+            for j in range(i + 1, len(code_of))
+            if code_of[i] == code_of[j]
+        ]
+        assert got == want
+
+    def test_salted_group_pairs_refuses_keys_past_63_bits(self):
+        import pytest
+
+        from pubmed_and_method_ray.stages.features import salted_group_pairs
+
+        one = np.zeros(1, np.int64)
+        gi, gj = salted_group_pairs(one + (1 << 40), one, one + 3, one)
+        assert len(gi) == len(gj) == 0
+        with pytest.raises(ValueError, match="63 bits"):
+            salted_group_pairs(one + (1 << 59), one, one + 3, one)
+
     def test_gather_on_sliced_list_array(self):
         import pyarrow as pa
 
